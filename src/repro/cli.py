@@ -11,13 +11,12 @@ Subcommands::
     repro portrait    ASCII phase portrait of the replicator field
     repro boundaries  analytic ESS regime boundaries over m
     repro loadtest    soak the live testbed, emit a JSON report
-    repro cluster     coordinator/worker soak cluster (leases, faults)
     repro serve       stand up a live UDP deployment on localhost
     repro attack      flood a testbed deployment with forgeries
     repro profile     cProfile + perf counters over a scenario preset
     repro bench       crypto or sim bench suite -> BENCH_<suite>.json
     repro lint        reprolint: per-file + whole-program AST invariants
-    repro sanitize    runtime sanitizers: determinism / locks / resources
+    repro sanitize    runtime sanitizers: determinism / resources
 
 Every subcommand is a thin shim over the library — anything printed
 here is available programmatically (see README).
@@ -88,21 +87,6 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {value}"
-        )
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    """argparse type: a finite number >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number, got {text!r}"
-        ) from None
-    if not value >= 0 or value == float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative finite number, got {text!r}"
         )
     return value
 
@@ -344,153 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_flags(loadtest)
 
-    cluster = sub.add_parser(
-        "cluster", help="sharded coordinator/worker soak cluster"
-    )
-    cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
-    csoak = cluster_sub.add_parser(
-        "soak", help="run a coordinator soak over local worker daemons"
-    )
-    csoak.add_argument(
-        "--scenario",
-        required=True,
-        metavar="NAME",
-        help="registered catalog scenario to shard (repro scenarios list)",
-    )
-    csoak.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=2,
-        help="local worker daemons to spawn (default: 2)",
-    )
-    csoak.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        help="shard tasks per round (default: workers, capped at the"
-        " scenario's receivers)",
-    )
-    csoak.add_argument(
-        "--rounds",
-        type=_positive_int,
-        default=1,
-        help="repetitions of the shard plan at laddered seeds",
-    )
-    csoak.add_argument(
-        "--duration",
-        type=_positive_float,
-        default=120.0,
-        metavar="SECONDS",
-        help="hard wall-clock deadline for the whole soak (default: 120)",
-    )
-    csoak.add_argument(
-        "--heartbeat",
-        type=_positive_float,
-        default=0.2,
-        metavar="SECONDS",
-        help="worker heartbeat interval (default: 0.2)",
-    )
-    csoak.add_argument(
-        "--lease-ttl",
-        type=_positive_float,
-        default=2.0,
-        metavar="SECONDS",
-        help="lease lifetime without a renewing heartbeat (default: 2)",
-    )
-    csoak.add_argument(
-        "--metrics",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="append JSON-lines metrics here (tail-able; default: off)",
-    )
-    csoak.add_argument(
-        "--metrics-interval",
-        type=_positive_float,
-        default=0.5,
-        metavar="SECONDS",
-        help="coordinator aggregate metrics cadence (default: 0.5)",
-    )
-    csoak.add_argument(
-        "--max-inflight",
-        type=_positive_int,
-        default=2,
-        help="per-worker in-flight task cap (backpressure bound)",
-    )
-    csoak.add_argument(
-        "--max-rss-mb",
-        type=_positive_float,
-        default=None,
-        help="per-worker resident-set limit in MiB (default: unlimited)",
-    )
-    csoak.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="des",
-        help="des: workers drive real loopback soaks; vectorized:"
-        " fleet-engine predictions of the same tallies",
-    )
-    csoak.add_argument(
-        "--fault",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="fault event '<seconds>:<action>=<value>', repeatable"
-        " (e.g. '120:loss=0.4', '300:kill-worker=1')",
-    )
-    csoak.add_argument(
-        "--stall",
-        type=_nonnegative_float,
-        default=0.0,
-        metavar="SECONDS",
-        help="artificial per-task stall before each soak — keeps"
-        " workers mid-task long enough for scheduled faults to land"
-        " (default: 0)",
-    )
-    csoak.add_argument(
-        "--seed", type=int, default=None, help="override the scenario seed"
-    )
-    csoak.add_argument(
-        "--no-reconcile",
-        action="store_true",
-        help="skip the fleet-engine reconciliation pass",
-    )
-    csoak.add_argument(
-        "--tolerance",
-        type=_nonnegative_int,
-        default=0,
-        help="per-tally absolute slack allowed by reconciliation"
-        " (default: 0, exact)",
-    )
-    csoak.add_argument(
-        "--report",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="also write the merged LoadTestReport JSON here",
-    )
-    cworker = cluster_sub.add_parser(
-        "worker", help="run one worker daemon against a coordinator"
-    )
-    cworker.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address",
-    )
-    cworker.add_argument(
-        "--worker-id",
-        type=_nonnegative_int,
-        default=None,
-        help="requested worker id (coordinator may reassign)",
-    )
-    cworker.add_argument(
-        "--max-runtime",
-        type=_positive_float,
-        default=600.0,
-        help="hard self-destruct deadline in seconds (default: 600)",
-    )
-
     serve = sub.add_parser("serve", help="stand up a live UDP deployment")
     serve.add_argument("--port", type=_positive_int, required=True)
     serve.add_argument("--host", default="127.0.0.1")
@@ -608,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--project",
         action="store_true",
-        help="also run the whole-program rules (RPL010..RPL012)",
+        help="also run the whole-program rules (RPL010..RPL011)",
     )
     lint.add_argument(
         "--baseline",
@@ -632,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sanitize = sub.add_parser(
         "sanitize",
-        help="runtime sanitizers: determinism, lock order, resources",
+        help="runtime sanitizers: determinism, resources",
     )
     sanitize_sub = sanitize.add_subparsers(
         dest="sanitize_command", required=True
@@ -664,42 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write the draw-trace diff as a JSON artifact",
-    )
-    slocks = sanitize_sub.add_parser(
-        "locks",
-        help="track lock acquisition order across a cluster soak",
-    )
-    slocks.add_argument(
-        "--scenario",
-        required=True,
-        metavar="NAME",
-        help="registered catalog scenario to shard across the soak",
-    )
-    slocks.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=2,
-        help="local worker daemons to spawn (default: 2)",
-    )
-    slocks.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        help="shard tasks per round (default: workers)",
-    )
-    slocks.add_argument(
-        "--duration",
-        type=_positive_float,
-        default=120.0,
-        metavar="SECONDS",
-        help="hard wall-clock deadline for the soak (default: 120)",
-    )
-    slocks.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the lock-order report as a JSON artifact",
     )
     sres = sanitize_sub.add_parser(
         "resources",
@@ -1038,84 +839,20 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             seed=args.seed,
             engine=args.engine,
         )
-    executor, _ = _engine(args)
-    report = run_loadtest(config, executor=executor)
+    executor = executor_for(args.jobs)
+    try:
+        report = run_loadtest(config, executor=executor)
+    finally:
+        # Shut the pool down before interpreter exit races its
+        # manager thread.
+        close = getattr(executor, "close", None)
+        if close is not None:
+            close()
     print(report.to_json())
     if report.forged_accepted:
         print("SECURITY INVARIANT VIOLATED", file=sys.stderr)
         return 1
     return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.cluster import ClusterConfig, parse_fault, run_cluster_soak
-
-    if args.cluster_command == "worker":
-        from repro.cluster.worker import main as worker_main
-
-        return worker_main(
-            ["--connect", args.connect]
-            + (
-                ["--worker-id", str(args.worker_id)]
-                if args.worker_id is not None
-                else []
-            )
-            + ["--max-runtime", str(args.max_runtime)]
-        )
-
-    scenario = get_scenario(args.scenario).config
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
-    shards = args.shards if args.shards is not None else args.workers
-    config = ClusterConfig(
-        scenario=scenario,
-        workers=args.workers,
-        shards=min(shards, scenario.receivers),
-        rounds=args.rounds,
-        engine=args.engine,
-        heartbeat_interval=args.heartbeat,
-        lease_ttl=args.lease_ttl,
-        metrics_interval=args.metrics_interval,
-        metrics_path=str(args.metrics) if args.metrics is not None else None,
-        max_inflight=args.max_inflight,
-        max_rss_mb=args.max_rss_mb,
-        max_runtime=args.duration,
-        task_stall=args.stall,
-        faults=tuple(parse_fault(spec) for spec in args.fault),
-        reconcile=not args.no_reconcile,
-        tolerance=args.tolerance,
-    )
-    result = run_cluster_soak(config)
-    document = result.report.to_json()
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(document + "\n")
-        print(f"wrote {args.report}", file=sys.stderr)
-    print(document)
-    print(
-        f"tasks={result.tasks} releases={result.releases}"
-        f" backpressure_waits={result.backpressure_waits}"
-        f" nacks={result.nacks} wall={result.wall_seconds:.1f}s",
-        file=sys.stderr,
-    )
-    failed = False
-    if result.reconciliation is not None:
-        verdict = "ok" if result.reconciliation.ok else "FAIL"
-        print(
-            f"reconciliation: {verdict}"
-            f" ({result.reconciliation.checked} tasks, tolerance"
-            f" {result.reconciliation.tolerance})",
-            file=sys.stderr,
-        )
-        for mismatch in result.reconciliation.mismatches:
-            print(f"  {mismatch}", file=sys.stderr)
-        failed = not result.reconciliation.ok
-    if result.report.forged_accepted:
-        print("SECURITY INVARIANT VIOLATED", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1398,37 +1135,6 @@ def _sanitize_determinism(args: argparse.Namespace) -> int:
     return 1 if divergences else 0
 
 
-def _sanitize_locks(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterConfig, run_cluster_soak
-    from repro.devtools.sanitizers import locks
-
-    scenario = get_scenario(args.scenario).config
-    shards = args.shards if args.shards is not None else args.workers
-    config = ClusterConfig(
-        scenario=scenario,
-        workers=args.workers,
-        shards=min(shards, scenario.receivers),
-        max_runtime=args.duration,
-    )
-    with locks.tracking() as sanitizer:
-        run_cluster_soak(config)
-    inversions = sanitizer.inversions()
-    _write_sanitize_artifact(args.json, sanitizer.to_json())
-    print(
-        f"sanitize locks: {sanitizer.acquisitions} acquisitions,"
-        f" {len(sanitizer.edges)} order edges,"
-        f" {len(sanitizer.blocked)} blocked waits,"
-        f" {len(inversions)} inversions"
-    )
-    for inversion in inversions:
-        print(
-            f"  {inversion.first} -> {inversion.second}"
-            f" (forward {inversion.forward_site},"
-            f" backward {inversion.backward_site})"
-        )
-    return 1 if inversions else 0
-
-
 def _sanitize_resources(args: argparse.Namespace) -> int:
     from repro.devtools.sanitizers import resources
     from repro.sim import fleet
@@ -1458,8 +1164,6 @@ def _sanitize_resources(args: argparse.Namespace) -> int:
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     if args.sanitize_command == "determinism":
         return _sanitize_determinism(args)
-    if args.sanitize_command == "locks":
-        return _sanitize_locks(args)
     return _sanitize_resources(args)
 
 
@@ -1473,7 +1177,6 @@ _COMMANDS = {
     "portrait": _cmd_portrait,
     "boundaries": _cmd_boundaries,
     "loadtest": _cmd_loadtest,
-    "cluster": _cmd_cluster,
     "serve": _cmd_serve,
     "attack": _cmd_attack,
     "profile": _cmd_profile,

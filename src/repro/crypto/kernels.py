@@ -31,7 +31,6 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Dict, Iterator, Tuple
 
 from repro import perf
-from repro.devtools.sanitizers.locks import optional_lock
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -259,7 +258,7 @@ class ChainWalkCache:
             hundred kilobytes).
     """
 
-    __slots__ = ("_function", "_walks", "_max_entries", "hits", "misses", "_lock")
+    __slots__ = ("_function", "_walks", "_max_entries", "hits", "misses")
 
     def __init__(self, function: "OneWayFunction", max_entries: int = 4096) -> None:
         if max_entries < 1:
@@ -271,10 +270,6 @@ class ChainWalkCache:
         self._max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        # None unless the lock sanitizer is tracking: the cache is
-        # single-threaded in every engine, so the hot path must not pay
-        # for a lock it does not need.
-        self._lock = optional_lock("crypto.walk_cache")
 
     @property
     def function(self) -> "OneWayFunction":
@@ -300,12 +295,6 @@ class ChainWalkCache:
             # times == 0 is the identity, times < 0 raises inside
             # iterate — neither is worth a cache slot.
             return self._function.iterate(value, times)
-        if self._lock is not None:
-            with self._lock:
-                return self._iterate_cached(value, times)
-        return self._iterate_cached(value, times)
-
-    def _iterate_cached(self, value: bytes, times: int) -> bytes:
         key = (bytes(value), times)
         cached = self._walks.get(key)
         active = perf.ACTIVE

@@ -14,17 +14,15 @@ per-line suppressions, text/JSON/GitHub reporters, baselines and
 CI-friendly exit codes; :mod:`repro.devtools.project` adds the
 whole-program pass (import graph, symbol table, call resolution) behind
 ``--project``, running the cross-file rules RPL010 (seed-threading
-dataflow), RPL011 (perf-counter consistency) and RPL012 (wire/report
-schema drift)::
+dataflow) and RPL011 (perf-counter consistency)::
 
     python -m repro.devtools.lint src benchmarks --project
     repro lint --project --format github
 
 **Tier two — runtime sanitizers.** :mod:`repro.devtools.sanitizers`
 traces what static analysis cannot prove: RNG draw sequences with
-call-site attribution (``repro sanitize determinism``), lock
-acquisition orders (``repro sanitize locks``), and SharedMemory/socket
-lifetimes (``repro sanitize resources``) — all zero-cost when disabled,
+call-site attribution (``repro sanitize determinism``) and
+SharedMemory/socket lifetimes (``repro sanitize resources``) — all zero-cost when disabled,
 guarded exactly like ``repro.perf``.
 
 See ``docs/API.md`` ("repro.devtools — correctness tooling") for the

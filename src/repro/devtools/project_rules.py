@@ -8,16 +8,11 @@ exists *between* modules:
 RPL010    seed-threading dataflow: a function accepting ``seed``/``rng``
           must actually use it and must thread it into callees that
           accept one — a dropped or constant-rederived seed silently
-          breaks the DES ↔ fleet ↔ cluster byte-identity contracts
+          breaks the DES ↔ fleet ↔ loopback byte-identity contracts
 RPL011    perf-counter consistency: every counter name at an
           instrumentation *read* site resolves to a name some write
           site produces, and all write sites agree on one canonical
           spelling — a typo'd metric name is dead observability
-RPL012    wire/report schema drift: fields produced into cluster
-          protocol messages, the soak codec, and ``metrics.jsonl``
-          records must match the set consumed on the other side — a
-          field nobody reads (or a read of a field nobody sends) is a
-          protocol bug waiting for a version skew to expose it
 ========  ==============================================================
 
 Like the per-file pack, rules stay suppression-agnostic; the engine
@@ -30,10 +25,8 @@ from __future__ import annotations
 import ast
 from typing import (
     Dict,
-    FrozenSet,
     Iterator,
     List,
-    Optional,
     Set,
     Tuple,
     Type,
@@ -52,7 +45,6 @@ from repro.devtools.rules import _Imports
 __all__ = [
     "PROJECT_RULES",
     "PerfCounterConsistencyRule",
-    "SchemaDriftRule",
     "SeedThreadingRule",
     "project_rule_catalog",
 ]
@@ -98,7 +90,7 @@ class SeedThreadingRule(ProjectRule):
     """RPL010 — seeds and RNG streams are threaded, never dropped.
 
     Every reproducibility harness in the repo (DES↔fleet parity, the
-    cluster reconciliation, the scenario contracts) assumes the seed
+    loopback soak parity, the scenario contracts) assumes the seed
     ladder is airtight: the one seed in ``ScenarioConfig`` derives every
     stream, and a function that accepts a ``seed``/``rng`` passes it
     down to everything that draws. Three failure shapes are flagged:
@@ -361,316 +353,9 @@ class PerfCounterConsistencyRule(ProjectRule):
         return max(spellings, key=lambda name: (len(spellings[name]), name))
 
 
-class SchemaDriftRule(ProjectRule):
-    """RPL012 — produced and consumed message fields must match.
-
-    Three families of structured records cross process boundaries in
-    ``repro.cluster`` and each is checked producer-against-consumer
-    over the whole project:
-
-    - **wire messages** (dict literals carrying a string ``"type"``,
-      sent over the coordinator/worker TCP stream): every consumed
-      field (``message[...]``/``message.get(...)`` on a parameter named
-      ``message`` or a variable assigned from ``.recv()``) must be
-      produced by some send site, and every produced field must be
-      consumed somewhere — a field nobody reads is dead wire weight
-      and a drift trap;
-    - **codec pairs** (``encode_X``/``decode_X``): the keys the encoder
-      emits must equal the keys the decoder reads, including reads
-      driven through module-level field-name tuples
-      (``for name in _SOAK_INT_FIELDS: document[name]``);
-    - **metrics records** (dict literals carrying a string ``"kind"``,
-      written to ``metrics.jsonl``): all producers of one kind must
-      agree on the key set, so anything tailing the log can rely on a
-      stable per-kind schema (the log is an export; consumed-elsewhere
-      is not required).
-    """
-
-    code = "RPL012"
-    name = "schema-drift"
-    description = (
-        "wire/report field produced but never consumed, consumed but"
-        " never produced, or metrics kinds with inconsistent schemas"
-    )
-
-    SCOPE = ("repro/cluster/",)
-    _CONSUMER_PARAMS = frozenset({"message"})
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Violation]:
-        wire_produced: Dict[str, List[Tuple[ModuleInfo, ast.Dict]]] = {}
-        wire_consumed: Dict[str, List[Tuple[ModuleInfo, ast.AST]]] = {}
-        codec_enc: Dict[str, List[Tuple[ModuleInfo, ast.Dict, FrozenSet[str]]]] = {}
-        codec_dec: Dict[str, Dict[str, Tuple[ModuleInfo, ast.AST]]] = {}
-        kinds: Dict[str, List[Tuple[ModuleInfo, ast.Dict, FrozenSet[str]]]] = {}
-        for module in self.scoped(index):
-            self._collect_literals(module, wire_produced, codec_enc, kinds)
-            self._collect_consumers(module, wire_consumed, codec_dec)
-        yield from self._check_wire(wire_produced, wire_consumed)
-        yield from self._check_codecs(codec_enc, codec_dec)
-        yield from self._check_kinds(kinds)
-
-    # -- producers ------------------------------------------------------------
-
-    @staticmethod
-    def _literal_keys(node: ast.Dict) -> Optional[Dict[str, ast.expr]]:
-        """str-key -> value map when *every* key is a string literal."""
-        out: Dict[str, ast.expr] = {}
-        for key, value in zip(node.keys, node.values):
-            if (
-                key is None
-                or not isinstance(key, ast.Constant)
-                or not isinstance(key.value, str)
-            ):
-                return None
-            out[key.value] = value
-        return out if out else None
-
-    def _collect_literals(
-        self,
-        module: ModuleInfo,
-        wire_produced: Dict[str, List[Tuple[ModuleInfo, ast.Dict]]],
-        codec_enc: Dict[str, List[Tuple[ModuleInfo, ast.Dict, FrozenSet[str]]]],
-        kinds: Dict[str, List[Tuple[ModuleInfo, ast.Dict, FrozenSet[str]]]],
-    ) -> None:
-        encode_bodies = {
-            info.name.split(".")[-1][len("encode_") :]: info.node
-            for info in module.functions.values()
-            if info.name.split(".")[-1].startswith("encode_")
-        }
-        in_encoder: Dict[int, str] = {}
-        for pair, body in encode_bodies.items():
-            for sub in ast.walk(body):
-                if isinstance(sub, ast.Dict):
-                    in_encoder[id(sub)] = pair
-        for node in ast.walk(module.ctx.tree):
-            if not isinstance(node, ast.Dict):
-                continue
-            keys = self._literal_keys(node)
-            if keys is None:
-                continue
-            type_value = keys.get("type")
-            kind_value = keys.get("kind")
-            if (
-                type_value is not None
-                and isinstance(type_value, ast.Constant)
-                and isinstance(type_value.value, str)
-            ):
-                for key in keys:
-                    wire_produced.setdefault(key, []).append((module, node))
-            elif (
-                kind_value is not None
-                and isinstance(kind_value, ast.Constant)
-                and isinstance(kind_value.value, str)
-            ):
-                kinds.setdefault(kind_value.value, []).append(
-                    (module, node, frozenset(keys))
-                )
-            elif id(node) in in_encoder:
-                codec_enc.setdefault(in_encoder[id(node)], []).append(
-                    (module, node, frozenset(keys))
-                )
-
-    # -- consumers ------------------------------------------------------------
-
-    def _collect_consumers(
-        self,
-        module: ModuleInfo,
-        wire_consumed: Dict[str, List[Tuple[ModuleInfo, ast.AST]]],
-        codec_dec: Dict[str, Dict[str, Tuple[ModuleInfo, ast.AST]]],
-    ) -> None:
-        seen: Set[Tuple[int, str]] = set()
-        for func in ast.walk(module.ctx.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            consumers = self._consumer_names(func)
-            decode_pair: Optional[str] = None
-            decode_param: Optional[str] = None
-            if func.name.startswith("decode_"):
-                params = func.args.posonlyargs + func.args.args
-                if params:
-                    decode_pair = func.name[len("decode_") :]
-                    decode_param = params[0].arg
-            loop_fields = self._loop_fields(func, module.str_constants)
-            for node in ast.walk(func):
-                for var, key in self._consumption(node, loop_fields):
-                    if (id(node), key) in seen:
-                        continue
-                    if var == decode_param and decode_pair is not None:
-                        seen.add((id(node), key))
-                        codec_dec.setdefault(decode_pair, {}).setdefault(
-                            key, (module, node)
-                        )
-                    elif var in consumers:
-                        seen.add((id(node), key))
-                        wire_consumed.setdefault(key, []).append(
-                            (module, node)
-                        )
-
-    def _consumer_names(
-        self, func: "ast.FunctionDef | ast.AsyncFunctionDef"
-    ) -> Set[str]:
-        names = {
-            arg.arg
-            for arg in func.args.posonlyargs + func.args.args
-            if arg.arg in self._CONSUMER_PARAMS
-        }
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Attribute)
-                and node.value.func.attr == "recv"
-            ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return names
-
-    @staticmethod
-    def _loop_fields(
-        func: ast.AST, constants: Dict[str, Tuple[str, ...]]
-    ) -> Dict[str, Tuple[str, ...]]:
-        """loop-variable -> field names, for loops over name tuples."""
-        out: Dict[str, Tuple[str, ...]] = {}
-        for node in ast.walk(func):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                target, source = node.target, node.iter
-            elif isinstance(node, ast.comprehension):
-                target, source = node.target, node.iter
-            else:
-                continue
-            if (
-                isinstance(target, ast.Name)
-                and isinstance(source, ast.Name)
-                and source.id in constants
-            ):
-                out[target.id] = constants[source.id]
-        return out
-
-    @staticmethod
-    def _consumption(
-        node: ast.AST, loop_fields: Dict[str, Tuple[str, ...]]
-    ) -> Iterator[Tuple[str, str]]:
-        """``(variable, key)`` pairs one AST node consumes."""
-        if isinstance(node, ast.Subscript) and isinstance(
-            node.value, ast.Name
-        ):
-            key = node.slice
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                yield node.value.id, key.value
-            elif isinstance(key, ast.Name) and key.id in loop_fields:
-                for field_name in loop_fields[key.id]:
-                    yield node.value.id, field_name
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "get"
-            and isinstance(node.func.value, ast.Name)
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            yield node.func.value.id, node.args[0].value
-
-    # -- checks ---------------------------------------------------------------
-
-    def _check_wire(
-        self,
-        produced: Dict[str, List[Tuple[ModuleInfo, ast.Dict]]],
-        consumed: Dict[str, List[Tuple[ModuleInfo, ast.AST]]],
-    ) -> Iterator[Violation]:
-        for key in sorted(consumed):
-            if key == "type" or key in produced:
-                continue
-            for module, node in consumed[key]:
-                yield self.violation(
-                    module,
-                    node,
-                    f"consumes wire field '{key}' that no send site"
-                    " produces: the read always takes its fallback (or"
-                    " raises) — fix the field name on one side",
-                )
-        for key in sorted(produced):
-            if key == "type" or key in consumed:
-                continue
-            for module, node in produced[key]:
-                yield self.violation(
-                    module,
-                    node,
-                    f"produces wire field '{key}' that no consumer"
-                    " reads: dead wire weight — consume it on the"
-                    " receiving side or drop it from the message",
-                )
-
-    def _check_codecs(
-        self,
-        encoders: Dict[str, List[Tuple[ModuleInfo, ast.Dict, FrozenSet[str]]]],
-        decoders: Dict[str, Dict[str, Tuple[ModuleInfo, ast.AST]]],
-    ) -> Iterator[Violation]:
-        for pair in sorted(set(encoders) & set(decoders)):
-            decoded = set(decoders[pair])
-            encoded: Set[str] = set()
-            for module, node, keys in encoders[pair]:
-                encoded |= keys
-                for key in sorted(keys - decoded):
-                    yield self.violation(
-                        module,
-                        node,
-                        f"encode_{pair} emits field '{key}' that"
-                        f" decode_{pair} never reads: the round-trip"
-                        " silently drops data",
-                    )
-            for key in sorted(decoded - encoded):
-                module, node = decoders[pair][key]
-                yield self.violation(
-                    module,
-                    node,
-                    f"decode_{pair} reads field '{key}' that"
-                    f" encode_{pair} never emits: decoding its own"
-                    " producer's output will fail or fall back",
-                )
-
-    def _check_kinds(
-        self,
-        kinds: Dict[str, List[Tuple[ModuleInfo, ast.Dict, FrozenSet[str]]]],
-    ) -> Iterator[Violation]:
-        for kind in sorted(kinds):
-            sites = kinds[kind]
-            if len({keys for _, _, keys in sites}) <= 1:
-                continue
-            counts: Dict[FrozenSet[str], int] = {}
-            for _, _, keys in sites:
-                counts[keys] = counts.get(keys, 0) + 1
-            canonical = max(
-                counts, key=lambda keys: (counts[keys], sorted(keys))
-            )
-            for module, node, keys in sites:
-                if keys == canonical:
-                    continue
-                missing = sorted(canonical - keys)
-                extra = sorted(keys - canonical)
-                detail = "; ".join(
-                    part
-                    for part in (
-                        f"missing {missing}" if missing else "",
-                        f"extra {extra}" if extra else "",
-                    )
-                    if part
-                )
-                yield self.violation(
-                    module,
-                    node,
-                    f"metrics kind '{kind}' produced with a divergent"
-                    f" schema ({detail}): every producer of one kind"
-                    " must emit the same keys so metrics.jsonl stays"
-                    " machine-tailable",
-                )
-
-
 PROJECT_RULES: Tuple[Type[ProjectRule], ...] = (
     SeedThreadingRule,
     PerfCounterConsistencyRule,
-    SchemaDriftRule,
 )
 
 

@@ -409,8 +409,8 @@ class ForkSafetyRule(Rule):
 
     Raw fork primitives — ``os.fork()`` and
     ``multiprocessing.get_context("fork")`` / ``set_start_method("fork")``
-    — are banned outright: the cluster coordinator and the experiment
-    engine are multi-threaded, and a forked child of a multi-threaded
+    — are banned outright: the experiment engine's process pool runs
+    a management thread, and a forked child of a multi-threaded
     process inherits whatever locks happened to be held at fork time
     and deadlocks on first use. Workers are started as *fresh*
     processes (``subprocess``, ``get_context("spawn")``) instead.
@@ -453,7 +453,7 @@ class ForkSafetyRule(Rule):
                     ctx,
                     node,
                     f"os.{attr}() forks a live process: a child of a"
-                    " multi-threaded coordinator/executor inherits held"
+                    " multi-threaded executor inherits held"
                     " locks and deadlocks; start a fresh process via"
                     " subprocess or get_context('spawn')",
                 )

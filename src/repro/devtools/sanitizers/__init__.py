@@ -1,6 +1,6 @@
 """Runtime sanitizers: the dynamic complement to reprolint.
 
-Three independent sanitizers, each zero-cost when disabled (the same
+Two independent sanitizers, each zero-cost when disabled (the same
 ``ACTIVE``-slot guard pattern as :mod:`repro.perf`):
 
 :mod:`repro.devtools.sanitizers.determinism`
@@ -9,14 +9,6 @@ Three independent sanitizers, each zero-cost when disabled (the same
     stream. Hook: :func:`traced_rng` — the identity function when
     tracing is off.
 
-:mod:`repro.devtools.sanitizers.locks`
-    Records lock acquisition orders across the instrumented locks
-    (``PerfRegistry``, ``ChainWalkCache``, the cluster coordinator,
-    lease table, streams and metrics log) and reports order inversions
-    and long blocking while holding another lock. Hooks:
-    :func:`tracked_lock` (a plain :class:`threading.Lock` when off) and
-    :func:`optional_lock` (``None`` when off, for lock-free hot paths).
-
 :mod:`repro.devtools.sanitizers.resources`
     Tracks ``SharedMemory`` segments, sockets, and file handles from
     creation to release and reports anything still alive at end of run.
@@ -24,9 +16,9 @@ Three independent sanitizers, each zero-cost when disabled (the same
     when off.
 
 This package is intentionally **stdlib-only and imports nothing from
-the rest of ``repro``**: it sits below ``repro.perf``, ``repro.crypto``
-and ``repro.cluster`` in the layering so any of them can call its hooks
-without creating an import cycle.
+the rest of ``repro``**: it sits below ``repro.sim`` and ``repro.net``
+in the layering so any of them can call its hooks without creating an
+import cycle.
 
 Typical use::
 
@@ -41,18 +33,13 @@ Typical use::
 
 from __future__ import annotations
 
-from repro.devtools.sanitizers import determinism, locks, resources
+from repro.devtools.sanitizers import determinism, resources
 from repro.devtools.sanitizers.determinism import (
     DeterminismSanitizer,
     Draw,
     DrawDivergence,
     DrawTrace,
     traced_rng,
-)
-from repro.devtools.sanitizers.locks import (
-    LockOrderSanitizer,
-    optional_lock,
-    tracked_lock,
 )
 from repro.devtools.sanitizers.resources import (
     ResourceSanitizer,
@@ -65,14 +52,10 @@ __all__ = [
     "Draw",
     "DrawDivergence",
     "DrawTrace",
-    "LockOrderSanitizer",
     "ResourceSanitizer",
     "determinism",
-    "locks",
-    "optional_lock",
     "release_resource",
     "resources",
     "track_resource",
     "traced_rng",
-    "tracked_lock",
 ]

@@ -1,6 +1,6 @@
 """DeterminismSanitizer: RNG draw tracing with call-site attribution.
 
-The byte-identity contracts in this repo (DES vs fleet vs cluster at
+The byte-identity contracts in this repo (DES vs fleet vs loopback at
 equal seeds) all reduce to one invariant: *every engine consumes the
 same pseudo-random draws in the same order from the same streams*.
 When that breaks, the summary diff says "something differs" but not

@@ -1,9 +1,7 @@
 """ResourceSanitizer: SharedMemory / socket / file-handle leak tracking.
 
-The fleet engine creates ``multiprocessing.shared_memory`` segments
-(which outlive the process if not unlinked), the cluster layer opens
-listening and per-connection sockets, and the metrics log holds a file
-handle. RPL008 statically checks the obvious ``create``/``unlink``
+The fleet engine creates ``multiprocessing.shared_memory`` segments,
+which outlive the process if not unlinked. RPL008 statically checks the obvious ``create``/``unlink``
 pairing; this sanitizer is the dynamic complement: every tracked
 resource not released by end-of-run is reported with its creation site.
 

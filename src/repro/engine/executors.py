@@ -22,6 +22,12 @@ pre-import :mod:`repro` in their initializer so the first task does
 not eat the import latency either. Use the executor as a context
 manager (or call :meth:`~ParallelExecutor.close`) to release the pool.
 
+A worker that dies mid-task (OOM, signal) breaks the whole pool. The
+executor then rebuilds the pool and resubmits only the tasks whose
+results it has not yet returned or yielded; seeded payloads make the
+re-run exact. A second break in the same spec raises
+:class:`~repro.errors.TaskError`.
+
 Workers and payloads must be picklable for the parallel path; that is
 the only seam the engine imposes on the layers above it.
 """
@@ -39,6 +45,10 @@ from repro.errors import ConfigurationError, TaskError
 from repro.engine.spec import ExperimentSpec
 
 __all__ = ["Executor", "SerialExecutor", "ParallelExecutor", "executor_for"]
+
+#: Times :class:`ParallelExecutor` rebuilds a broken pool and resubmits
+#: the unfinished tasks of one spec before giving up.
+POOL_RETRIES = 1
 
 
 def _warm_worker() -> None:
@@ -115,9 +125,11 @@ class ParallelExecutor(Executor):
     **reused across calls**: a driver running many specs pays worker
     spawn + ``import repro`` once, not per sweep. Each worker
     pre-imports the package in its initializer. A task failure raises
-    :class:`~repro.errors.TaskError` but leaves the pool warm; only a
-    broken pool (a worker died mid-task) is torn down and rebuilt on
-    the next call.
+    :class:`~repro.errors.TaskError` but leaves the pool warm. A broken
+    pool (a worker died mid-task) is torn down and rebuilt, and the
+    spec's unfinished tasks run again on the fresh pool, once
+    (:data:`POOL_RETRIES`); a second break raises
+    :class:`~repro.errors.TaskError`.
 
     Args:
         jobs: worker processes (>= 1). ``jobs=1`` still goes through a
@@ -176,28 +188,9 @@ class ParallelExecutor(Executor):
         # add latency without any overlap to exploit.
         if len(spec) == 1 or self.jobs == 1:
             return SerialExecutor().run(spec)
-        pool = self._ensure_pool()
-        try:
-            futures = [pool.submit(spec.fn, task) for task in spec.tasks]
-        except BrokenProcessPool as exc:
-            self.close()
-            raise self._task_error(spec, 0, exc) from exc
-        results: List[Any] = []
-        for index, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except BrokenProcessPool as exc:
-                # A worker died (OOM, signal). The pool is unusable;
-                # discard it so the next run() starts fresh.
-                self.close()
-                raise self._task_error(spec, index, exc) from exc
-            # Executor fault boundary (RPL006-conformant): the failure
-            # is wrapped into a labelled TaskError and re-raised after
-            # cancelling the tasks behind it.
-            except Exception as exc:
-                for pending in futures[index + 1:]:
-                    pending.cancel()
-                raise self._task_error(spec, index, exc) from exc
+        results: List[Any] = [None] * len(spec)
+        for index, result in self._results(spec, ordered=True):
+            results[index] = result
         return results
 
     def stream(self, spec: ExperimentSpec) -> Iterator[Tuple[int, Any]]:
@@ -206,32 +199,53 @@ class ParallelExecutor(Executor):
         if len(spec) == 1 or self.jobs == 1:
             yield from SerialExecutor().stream(spec)
             return
-        pool = self._ensure_pool()
-        try:
-            futures = {
-                pool.submit(spec.fn, task): index
-                for index, task in enumerate(spec.tasks)
-            }
-        except BrokenProcessPool as exc:
-            self.close()
-            raise self._task_error(spec, 0, exc) from exc
-        try:
-            for future in concurrent.futures.as_completed(futures):
-                index = futures[future]
-                try:
-                    result = future.result()
-                except BrokenProcessPool as exc:
-                    self.close()
-                    raise self._task_error(spec, index, exc) from exc
-                # Executor fault boundary (RPL006-conformant): wrap the
-                # failure into a labelled TaskError; the finally clause
-                # below cancels whatever has not started yet.
-                except Exception as exc:
-                    raise self._task_error(spec, index, exc) from exc
-                yield index, result
-        finally:
-            for pending in futures:
-                pending.cancel()
+        yield from self._results(spec, ordered=False)
+
+    def _results(
+        self, spec: ExperimentSpec, *, ordered: bool
+    ) -> Iterator[Tuple[int, Any]]:
+        """Yield ``(index, result)`` in task or completion order.
+
+        A worker death (OOM, signal) breaks the whole pool. The broken
+        pool is discarded and the tasks not yet yielded are resubmitted
+        to a fresh one, up to :data:`POOL_RETRIES` times; results are
+        pure functions of their payloads, so a re-run is exact. One
+        break too many raises a :class:`TaskError` labelled with the
+        first unfinished task.
+        """
+        unfinished = set(range(len(spec)))
+        for attempt in range(POOL_RETRIES + 1):
+            futures: Dict[concurrent.futures.Future[Any], int] = {}
+            try:
+                pool = self._ensure_pool()
+                for index in sorted(unfinished):
+                    futures[pool.submit(spec.fn, spec.tasks[index])] = index
+                done = (
+                    iter(futures)
+                    if ordered
+                    else concurrent.futures.as_completed(futures)
+                )
+                for future in done:
+                    index = futures[future]
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        raise
+                    # Executor fault boundary (RPL006-conformant): wrap
+                    # the failure into a labelled TaskError; the finally
+                    # clause below cancels whatever has not started yet.
+                    except Exception as exc:
+                        raise self._task_error(spec, index, exc) from exc
+                    unfinished.discard(index)
+                    yield index, result
+                return
+            except BrokenProcessPool as exc:
+                self.close()
+                if attempt == POOL_RETRIES:
+                    raise self._task_error(spec, min(unfinished), exc) from exc
+            finally:
+                for pending in futures:
+                    pending.cancel()
 
     def close(self) -> None:
         """Shut the warm pool down; the next :meth:`run` recreates it."""

@@ -27,7 +27,6 @@ __all__ = [
     "EngineError",
     "TaskError",
     "CacheKeyError",
-    "ClusterError",
 ]
 
 
@@ -123,17 +122,6 @@ class TaskError(EngineError):
         super().__init__(message)
         self.label = label
         self.index = index
-
-
-class ClusterError(ReproError):
-    """A coordinator/worker soak cluster failed to make progress.
-
-    Raised by :mod:`repro.cluster` when a run cannot complete: every
-    worker died with shards still pending, a task exhausted its retry
-    budget, or the coordinator hit its hard runtime deadline. The
-    message names the pending shard tasks so a wedged soak is
-    diagnosable from the exception alone.
-    """
 
 
 class CacheKeyError(EngineError, TypeError):

@@ -61,8 +61,8 @@ __all__ = [
 ]
 
 #: Version of the :class:`LoadTestReport` JSON schema. Bump when a
-#: field is added/renamed so cluster-merged reports written by one
-#: version stay recognisable to another; ``LoadTestReport.from_dict``
+#: field is added/renamed so reports written by one version stay
+#: recognisable to another; ``LoadTestReport.from_dict``
 #: accepts (and ignores) the field plus any unknown keys.
 LOADTEST_SCHEMA_VERSION = 1
 
@@ -131,9 +131,9 @@ def shard_sizes(receivers: int, shards: int) -> List[int]:
     Receivers are dealt round-robin, so when ``receivers % shards != 0``
     the remainder spreads one-per-shard over the *first* shards instead
     of piling onto the last one: ``shard_sizes(10, 4) == [3, 3, 2, 2]``.
-    Shared by :meth:`LoadTestConfig.scenario_for_shard` and the cluster
-    coordinator's shard planner (:mod:`repro.cluster.shards`) — sizes
-    always differ by at most one and sum to ``receivers``.
+    Shared by :meth:`LoadTestConfig.scenario_for_shard` and the fleet
+    engine's shard plan — sizes always differ by at most one and sum
+    to ``receivers``.
     """
     if shards < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
@@ -456,8 +456,8 @@ class LoadTestReport:
 
     Serialised documents carry a ``schema_version`` field
     (:data:`LOADTEST_SCHEMA_VERSION`); :meth:`from_dict` accepts and
-    ignores it — plus any other unknown key — so cluster-merged reports
-    stay forward-compatible across schema bumps.
+    ignores it — plus any other unknown key — so stored reports stay
+    forward-compatible across schema bumps.
     """
 
     transport: str
@@ -521,8 +521,7 @@ def predicted_soak(scenario: ScenarioConfig) -> SoakResult:
     daemons would have produced — at array-engine speed. Transport
     artifacts (latencies, datagram counters) have no in-memory
     equivalent and read zero. Used by the ``engine="vectorized"``
-    loadtest path and by cluster workers/reconciliation
-    (:mod:`repro.cluster`).
+    loadtest path.
     """
     from repro.sim.scenario import run_scenario
 

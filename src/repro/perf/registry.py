@@ -14,22 +14,20 @@ disabled registry costs one global load per call site and nothing else
 adding the internal lock below did not touch that invariant, because
 the disabled path never reaches a registry method at all.
 
-Updates, :meth:`~PerfRegistry.snapshot` and
-:meth:`~PerfRegistry.reset` are serialised by one internal lock: the
-cluster's periodic metrics exporter (:mod:`repro.cluster.worker`)
-snapshots a registry from a heartbeat thread while soak threads keep
-producing, and ``counter = counter + amount`` is not atomic across
-threads without it. Single-threaded measurement pays one uncontended
-lock acquisition per update — noise next to the hashing it measures.
+Updates and :meth:`~PerfRegistry.snapshot` are serialised by one
+internal lock: a registry may be read from one thread while others
+keep producing, and ``counter = counter + amount`` is not atomic
+across threads without it. Single-threaded measurement pays one
+uncontended lock acquisition per update — noise next to the hashing
+it measures.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator
-
-from repro.devtools.sanitizers.locks import tracked_lock
 
 __all__ = ["Observation", "PerfRegistry"]
 
@@ -80,8 +78,7 @@ class PerfRegistry:
 
     All methods are cheap dictionary updates under one internal lock,
     so concurrent producer threads never lose increments and
-    :meth:`snapshot`/:meth:`reset` always see a consistent cut — the
-    contract the cluster's periodic exporter depends on
+    :meth:`snapshot` always sees a consistent cut
     (``tests/perf/test_registry.py`` pins it with hammering threads).
     """
 
@@ -91,7 +88,7 @@ class PerfRegistry:
         self.counters: Dict[str, int] = {}
         self.observations: Dict[str, Observation] = {}
         self.timers: Dict[str, float] = {}
-        self._lock = tracked_lock("perf.registry")
+        self._lock = threading.Lock()
 
     def incr(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to counter ``name`` (created at zero)."""
@@ -144,29 +141,6 @@ class PerfRegistry:
                 },
                 "timers": dict(self.timers),
             }
-
-    def reset(self) -> Dict[str, Any]:
-        """Atomically snapshot everything recorded so far, then clear.
-
-        The swap happens under the registry lock, so every increment
-        lands in exactly one reset window — the delta-export discipline
-        the cluster's periodic metrics exporter uses (sum of exported
-        deltas equals the true total, no sample counted twice or
-        dropped). Returns the pre-reset snapshot.
-        """
-        with self._lock:
-            cut = {
-                "counters": dict(self.counters),
-                "observations": {
-                    name: stat.to_dict()
-                    for name, stat in self.observations.items()
-                },
-                "timers": dict(self.timers),
-            }
-            self.counters.clear()
-            self.observations.clear()
-            self.timers.clear()
-        return cut
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

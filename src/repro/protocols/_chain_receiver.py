@@ -22,7 +22,12 @@ from repro.crypto.keychain import KeyChainAuthenticator
 from repro.crypto.mac import MacScheme
 from repro.crypto.onewayfn import OneWayFunction
 from repro.errors import ConfigurationError, KeyVerificationError
-from repro.protocols.base import AuthEvent, AuthOutcome, ReceiverStats
+from repro.protocols.base import (
+    MAX_KEY_GAP,
+    AuthEvent,
+    AuthOutcome,
+    ReceiverStats,
+)
 from repro.protocols.packets import StoredPacketRecord
 from repro.timesync.sync import SecurityCondition
 
@@ -58,7 +63,7 @@ class ChainReceiverCore:
         max_intervals: Optional[int],
         stats: ReceiverStats,
         rng: Optional[random.Random] = None,
-        max_key_gap: int = 4096,
+        max_key_gap: int = MAX_KEY_GAP,
         walk_cache: Optional[ChainWalkCache] = None,
     ) -> None:
         if buffer_capacity <= 0:

@@ -33,6 +33,7 @@ from repro.crypto.pebbled import KeyChainLike, make_key_chain
 from repro.crypto.onewayfn import OneWayFunction
 from repro.errors import ConfigurationError, KeyVerificationError
 from repro.protocols.base import (
+    MAX_KEY_GAP,
     AuthEvent,
     AuthOutcome,
     BroadcastSender,
@@ -189,7 +190,7 @@ class TwoPhaseReceiverCore:
         max_intervals: Optional[int],
         stats: ReceiverStats,
         rng: Optional[random.Random] = None,
-        max_key_gap: int = 4096,
+        max_key_gap: int = MAX_KEY_GAP,
         walk_cache: Optional[ChainWalkCache] = None,
     ) -> None:
         if buffers <= 0:

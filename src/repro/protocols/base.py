@@ -28,12 +28,18 @@ from typing import Dict, List, Optional, Sequence
 from repro.protocols.packets import FORGED, LEGITIMATE
 
 __all__ = [
+    "MAX_KEY_GAP",
     "AuthOutcome",
     "AuthEvent",
     "ReceiverStats",
     "BroadcastSender",
     "BroadcastReceiver",
 ]
+
+#: Default bound on how many intervals a disclosed key may sit past the
+#: receiver's last trusted key. It caps the hash work one forged
+#: disclosure can cost (computational-DoS hardening).
+MAX_KEY_GAP = 4096
 
 
 class AuthOutcome(Enum):

@@ -67,12 +67,16 @@ __all__ = [
     "CdmStats",
     "cdm_digest_payload",
     "MultiLevelPacket",
+    "LOW_BUFFER_CAPACITY",
 ]
 
 MultiLevelPacket = Union[CdmPacket, MuTeslaDataPacket, KeyDisclosurePacket]
 
 #: Placeholder for a CDM that cannot carry a commitment (end of chain).
 _NO_COMMITMENT = b"\x00" * 10
+
+#: Default data records a receiver buffers per low-level sub-interval.
+LOW_BUFFER_CAPACITY = 8
 
 
 @dataclass(frozen=True)
@@ -354,7 +358,7 @@ class MultiLevelReceiver(BroadcastReceiver):
         sync: LooseTimeSync,
         params: MultiLevelParams,
         cdm_buffers: int = 4,
-        low_buffer_capacity: int = 8,
+        low_buffer_capacity: int = LOW_BUFFER_CAPACITY,
         low_buffer_strategy: str = "reservoir",
         mac_scheme: Optional[MacScheme] = None,
         functions: Optional[Dict[str, OneWayFunction]] = None,

@@ -59,7 +59,7 @@ The fleet's per-receiver state is independent given the shared
 delivery mask, so the receiver axis shards cleanly:
 :func:`shard_plan` cuts it into contiguous ranges (balanced via
 :func:`repro.net.harness.shard_sizes` — the same plan the live-network
-and cluster harnesses use), each shard replays only its slice of the
+harness uses), each shard replays only its slice of the
 bit-packed mask, and per-shard results stream back through
 :meth:`repro.engine.executors.Executor.stream` to be folded one shard
 at a time. With ``summary="aggregate"`` the reduction keeps a single
@@ -99,7 +99,9 @@ from repro.protocols.edrp import edrp_params
 from repro.protocols.eftp import eftp_params
 from repro.protocols.messages import forged_message
 from repro.protocols.mu_tesla import MuTeslaSender
+from repro.protocols.base import MAX_KEY_GAP
 from repro.protocols.multilevel import (
+    LOW_BUFFER_CAPACITY,
     MultiLevelParams,
     MultiLevelSender,
     _NO_COMMITMENT,
@@ -162,14 +164,6 @@ SUPPORTED_PROTOCOLS = VECTORIZED_PROTOCOLS
 #: ``report_for`` and ``distinct_sources``).
 _Workload = Union[CrowdsensingWorkload, VehicularBeaconWorkload, RemoteIdWorkload]
 
-#: Bound on the weak-authentication key-walk gap — must match
-#: ``TwoPhaseReceiverCore``'s / ``ChainReceiverCore``'s ``max_key_gap``.
-_MAX_KEY_GAP = 4096
-
-#: Data records buffered per sub-interval by multi-level receivers —
-#: must match ``MultiLevelReceiver``'s ``low_buffer_capacity`` default.
-_LOW_BUFFER_CAPACITY = 8
-
 # Timeline slot kinds (two-phase family).
 _ANNOUNCE = 0
 _REVEAL = 1
@@ -199,8 +193,8 @@ def shard_plan(receivers: int, shards: int) -> List[Tuple[int, int]]:
     """Contiguous ``(start, stop)`` receiver ranges for ``shards`` shards.
 
     Delegates the size split to :func:`repro.net.harness.shard_sizes`
-    so the fleet engine, the live-network harness and the cluster
-    coordinator all balance identically (sizes differ by at most one).
+    so the fleet engine and the live-network harness balance
+    identically (sizes differ by at most one).
     """
     # Lazy import: net.harness builds on sim.scenario, which imports
     # this module lazily for the vectorized path.
@@ -968,7 +962,7 @@ def _replay_two_phase_reference(
             if key in resolved:
                 continue
             if interval > trusted:
-                if interval - trusted > _MAX_KEY_GAP:
+                if interval - trusted > MAX_KEY_GAP:
                     n_weak += 1
                     continue
                 trusted = interval
@@ -1328,7 +1322,7 @@ def _replay_two_phase_vectorized(
                 if prior is True:
                     continue
                 if interval > trusted:
-                    if interval - trusted > _MAX_KEY_GAP:
+                    if interval - trusted > MAX_KEY_GAP:
                         n_weak += 1
                         continue
                     trusted = interval
@@ -1438,7 +1432,7 @@ def _replay_single_level(
             if di < 1:
                 continue
             anchors = disc_anchors[b]
-            if di < trusted or di - trusted > _MAX_KEY_GAP:
+            if di < trusted or di - trusted > MAX_KEY_GAP:
                 n_weak += 1
                 continue
             if anchors is not None:
@@ -1506,7 +1500,7 @@ def _replay_multilevel(
     gap_bound = plan.high_gap_bound
     anchor_offset = plan.anchor_offset
     cdm_capacity = config.buffers
-    data_capacity = _LOW_BUFFER_CAPACITY
+    data_capacity = LOW_BUFFER_CAPACITY
 
     out: Tuple[List[int], ...] = ([], [], [], [], [], [], [], [])
     (auth_c, lost_c, rejf_c, weak_c, disc_c, facc_c, recv_c, peak_c) = out

@@ -178,6 +178,24 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"disclosure_delay must be >= 1, got {self.disclosure_delay}"
             )
+        if not 0.0 <= self.loss_probability <= 1.0:
+            raise ConfigurationError(
+                "loss_probability must be in [0, 1], got"
+                f" {self.loss_probability}"
+            )
+        if self.loss_mean_burst is not None and self.loss_probability > 0.0:
+            # The bursty channel's own checks (average loss < 1, mean
+            # burst >= 1), run here so a bad config fails when it is
+            # built rather than when run_scenario builds the links.
+            try:
+                GilbertElliottLoss.from_average(
+                    self.loss_probability, self.loss_mean_burst
+                )
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"bursty loss (loss_probability={self.loss_probability},"
+                    f" loss_mean_burst={self.loss_mean_burst}): {exc}"
+                ) from exc
 
 
 @dataclass(frozen=True)

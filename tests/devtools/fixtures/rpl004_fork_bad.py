@@ -1,7 +1,7 @@
-"""Known-bad RPL004 fixture: raw fork primitives in coordinator-style
-code (checked as if it lived under ``repro/cluster/``). A forked child
-of the multi-threaded coordinator inherits held locks. Never imported
-— only parsed."""
+"""Known-bad RPL004 fixture: raw fork primitives in executor-style
+code (checked as if it lived under ``repro/engine/``). A forked child
+of a multi-threaded parent inherits held locks. Never imported — only
+parsed."""
 
 import multiprocessing
 import os

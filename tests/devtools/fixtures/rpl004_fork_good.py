@@ -1,16 +1,14 @@
 """Known-good RPL004 fixture: fresh worker processes via subprocess
-and the spawn start method — what the cluster coordinator actually
-does."""
+and the spawn start method."""
 
 import multiprocessing
 import subprocess
 import sys
 
 
-def spawn_worker(host, port):
+def spawn_worker(scenario):
     return subprocess.Popen(
-        [sys.executable, "-m", "repro.cluster.worker", "--connect",
-         f"{host}:{port}"]
+        [sys.executable, "-m", "repro", "loadtest", "--scenario", scenario]
     )
 
 

@@ -1,4 +1,4 @@
-"""Whole-program pass: index construction, the RPL010..RPL012 fixture
+"""Whole-program pass: index construction, the RPL010..RPL011 fixture
 corpus, per-file rules still firing under ``--project``, and the
 project-level self-clean gate."""
 
@@ -25,7 +25,6 @@ ROOT = Path(__file__).resolve().parent.parent.parent
 PROJECT_CASES = {
     "RPL010": ("repro/sim/fixture_mod.py", 3),
     "RPL011": ("repro/perf/fixture_mod.py", 3),
-    "RPL012": ("repro/cluster/fixture_mod.py", 4),
 }
 
 
@@ -124,31 +123,10 @@ def test_rpl010_resolves_module_alias_calls():
     assert violations[0].line == 6
 
 
-def test_rpl012_sees_producer_and_consumer_in_different_modules():
-    sources = {
-        "repro/cluster/sender.py": (
-            "def announce(stream):\n"
-            '    stream.send({"type": "hello", "token": 1})\n'
-        ),
-        "repro/cluster/receiver.py": (
-            "def handle(message):\n"
-            '    return message["token"]\n'
-        ),
-    }
-    assert check_project_sources(sources, select=["RPL012"]) == []
-    sources["repro/cluster/receiver.py"] = (
-        "def handle(message):\n"
-        '    return message["tokenn"]\n'
-    )
-    violations = check_project_sources(sources, select=["RPL012"])
-    codes = sorted(v.message.split("'")[1] for v in violations)
-    assert codes == ["token", "tokenn"], [v.format() for v in violations]
-
-
 def test_project_rule_catalog():
     catalog = project_rule_catalog()
-    assert [code for code, _, _ in catalog] == ["RPL010", "RPL011", "RPL012"]
-    assert len(PROJECT_RULES) == 3
+    assert [code for code, _, _ in catalog] == ["RPL010", "RPL011"]
+    assert len(PROJECT_RULES) == 2
 
 
 # -- per-file rules under the project pass ----------------------------------
@@ -179,7 +157,7 @@ def test_file_rules_still_fire_under_project_pass(tmp_path):
         per_rule[violation.rule] += 1
     assert per_rule.get("RPL007") == 4, per_rule
     assert per_rule.get("RPL009") == 4, per_rule
-    assert "RPL010" in report.rules and "RPL012" in report.rules
+    assert "RPL010" in report.rules and "RPL011" in report.rules
 
 
 def test_project_select_requires_project_flag(tmp_path):
@@ -198,5 +176,5 @@ def test_src_and_benchmarks_are_project_clean():
         [ROOT / "src", ROOT / "benchmarks"], project=True
     )
     assert report.files_checked > 80
-    assert len(report.rules) == 12
+    assert len(report.rules) == 11
     assert report.violations == (), "\n" + report.format_text()

@@ -105,12 +105,12 @@ def test_rpl004_flags_initializer_lambda_in_any_call():
     assert len(violations) == 1
 
 
-def test_rpl004_cluster_fixture_flags_fork_primitives():
-    """The coordinator fixture: os.fork + set_start_method('fork') +
+def test_rpl004_fork_fixture_flags_fork_primitives():
+    """The fork fixture: os.fork + set_start_method('fork') +
     get_context('fork') are each one violation."""
     violations = check_source(
-        fixture_source("rpl004_cluster", "bad"),
-        "repro/cluster/fixture_mod.py",
+        fixture_source("rpl004_fork", "bad"),
+        "repro/engine/fixture_mod.py",
         select=["RPL004"],
     )
     assert len(violations) == 3, [v.format() for v in violations]
@@ -119,10 +119,10 @@ def test_rpl004_cluster_fixture_flags_fork_primitives():
     assert "spawn" in messages
 
 
-def test_rpl004_cluster_fixture_spawn_style_passes():
+def test_rpl004_fork_fixture_spawn_style_passes():
     violations = check_source(
-        fixture_source("rpl004_cluster", "good"),
-        "repro/cluster/fixture_mod.py",
+        fixture_source("rpl004_fork", "good"),
+        "repro/engine/fixture_mod.py",
         select=["RPL004"],
     )
     assert violations == [], [v.format() for v in violations]
@@ -142,7 +142,7 @@ def test_rpl004_flags_method_keyword_fork():
         "set_start_method(method='fork')\n"
     )
     violations = check_source(
-        source, "repro/cluster/x.py", select=["RPL004"]
+        source, "repro/engine/x.py", select=["RPL004"]
     )
     assert len(violations) == 1
 

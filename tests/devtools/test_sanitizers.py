@@ -1,19 +1,17 @@
 """Runtime sanitizer suite.
 
-Covers the three sanitizers end to end — determinism draw tracing with
-call-site attribution, lock-order tracking, resource lifetimes — plus
-the contract every one of them shares with ``repro.perf``: disabled
-means *structurally* absent (identity rng, plain stdlib locks, ``None``
-optional locks, no-op lifecycle hooks), not merely cheap.
+Covers the two sanitizers end to end — determinism draw tracing with
+call-site attribution and resource lifetimes — plus the contract both
+share with ``repro.perf``: disabled means *structurally* absent
+(identity rng, no-op lifecycle hooks), not merely cheap.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import time
 
-from repro.devtools.sanitizers import determinism, locks, resources
+from repro.devtools.sanitizers import determinism, resources
 
 
 def _draw_chain(rng, n=8):
@@ -115,91 +113,6 @@ class TestDeterminism:
         assert ":" in first["site"]
 
 
-class TestLocks:
-    def test_disabled_returns_plain_stdlib_locks(self):
-        assert type(locks.tracked_lock("x")) is type(threading.Lock())
-        assert type(locks.tracked_lock("x", reentrant=True)) is type(
-            threading.RLock()
-        )
-        assert locks.optional_lock("x") is None
-
-    def test_tracking_returns_tracked_locks(self):
-        with locks.tracking() as sanitizer:
-            lock = locks.tracked_lock("x")
-            assert isinstance(lock, locks.TrackedLock)
-            optional = locks.optional_lock("y")
-            assert isinstance(optional, locks.TrackedLock)
-            with lock:
-                pass
-        assert sanitizer.acquisitions == 1
-
-    def test_inversion_detected(self):
-        with locks.tracking() as sanitizer:
-            a = locks.tracked_lock("A")
-            b = locks.tracked_lock("B")
-            with a:
-                with b:
-                    pass
-            with b:
-                with a:
-                    pass
-        inversions = sanitizer.inversions()
-        assert len(inversions) == 1
-        assert {inversions[0].first, inversions[0].second} == {"A", "B"}
-        assert "test_sanitizers.py" in inversions[0].forward_site
-
-    def test_consistent_order_is_clean(self):
-        with locks.tracking() as sanitizer:
-            a = locks.tracked_lock("A")
-            b = locks.tracked_lock("B")
-            for _ in range(3):
-                with a:
-                    with b:
-                        pass
-        assert sanitizer.inversions() == ()
-        assert sanitizer.acquisitions == 6
-
-    def test_reentrant_acquisition_is_not_an_inversion(self):
-        with locks.tracking() as sanitizer:
-            lock = locks.tracked_lock("R", reentrant=True)
-            with lock:
-                with lock:
-                    pass
-        assert sanitizer.inversions() == ()
-
-    def test_blocking_under_lock_detected(self):
-        sanitizer = locks.LockOrderSanitizer(block_threshold=0.01)
-        with locks.tracking(sanitizer):
-            outer = locks.tracked_lock("outer")
-            inner = locks.tracked_lock("inner")
-            held = threading.Event()
-
-            def hog():
-                with inner:
-                    held.set()
-                    time.sleep(0.06)
-
-            thread = threading.Thread(target=hog)
-            thread.start()
-            held.wait()
-            with outer:
-                with inner:
-                    pass
-            thread.join()
-        assert any(
-            blocked.held == "outer" and blocked.acquiring == "inner"
-            for blocked in sanitizer.blocked
-        ), sanitizer.to_json()
-
-    def test_report_json_shape(self):
-        with locks.tracking() as sanitizer:
-            a = locks.tracked_lock("A")
-            with a:
-                pass
-        document = sanitizer.to_json()
-        assert set(document) >= {"acquisitions", "edges", "inversions"}
-
-
 class TestResources:
     def test_disabled_hooks_are_noops(self):
         resources.track_resource("shm", "t", "label")
@@ -217,27 +130,6 @@ class TestResources:
         assert "test_sanitizers.py" in leaks[0].site
         assert sanitizer.tracked == 2 and sanitizer.released == 1
 
-    def test_metrics_log_lifecycle_tracked(self, tmp_path):
-        from repro.cluster.metrics import MetricsLog
-
-        with resources.tracking() as sanitizer:
-            log = MetricsLog(tmp_path / "metrics.jsonl")
-            assert sanitizer.tracked == 1
-            log.write({"kind": "probe", "t": 0.0})
-            log.close()
-        assert sanitizer.leaks() == ()
-        assert sanitizer.released == 1
-
-    def test_metrics_log_leak_surfaces(self, tmp_path):
-        with resources.tracking() as sanitizer:
-            from repro.cluster.metrics import MetricsLog
-
-            log = MetricsLog(tmp_path / "metrics.jsonl")
-        leaks = sanitizer.leaks()
-        assert len(leaks) == 1 and leaks[0].kind == "file"
-        assert "metrics.py" in leaks[0].site
-        log.close()
-
 
 class TestDisabledOverhead:
     """Disabled sanitizers must cost nothing measurable.
@@ -249,13 +141,8 @@ class TestDisabledOverhead:
     """
 
     def test_disabled_path_is_structurally_absent(self):
-        from repro.crypto.kernels import ChainWalkCache
-        from repro.crypto.onewayfn import OneWayFunction
-
         rng = random.Random(1)
         assert determinism.traced_rng(rng, "s") is rng
-        assert locks.optional_lock("crypto.walk_cache") is None
-        assert ChainWalkCache(OneWayFunction("F"))._lock is None
 
     def test_disabled_lifecycle_hooks_are_cheap(self):
         n = 50_000

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from typing import Tuple
 
 import pytest
 
@@ -30,6 +32,23 @@ def fail_on_three(task: int) -> int:
 
 def worker_pid(task: int) -> int:
     return os.getpid()
+
+
+def die_once(task: Tuple[str, int]) -> int:
+    """Kill the worker on the first attempt at a task carrying a marker
+    path; the marker file records that the attempt happened."""
+    marker, value = task
+    if marker and not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os._exit(1)
+    return value * value
+
+
+def kill_on_zero(task: int) -> int:
+    if task == 0:
+        os._exit(1)
+    return task
 
 
 class TestSpec:
@@ -171,6 +190,55 @@ class TestWarmPool:
             pids = executor.run(spec)
         # One task per child: 4 tasks must come from 4 distinct workers.
         assert len(set(pids)) == 4
+
+
+class TestBrokenPool:
+    """A worker death rebuilds the pool once and re-runs only the tasks
+    whose results were not yet returned or yielded."""
+
+    @staticmethod
+    def _die_once_spec(tmp_path) -> ExperimentSpec:
+        marker = str(tmp_path / "attempted")
+        return ExperimentSpec(
+            fn=die_once,
+            tasks=tuple((marker if value == 3 else "", value) for value in range(6)),
+        )
+
+    def test_run_retries_after_a_worker_dies(self, tmp_path):
+        spec = self._die_once_spec(tmp_path)
+        with ParallelExecutor(jobs=2) as executor:
+            results = executor.run(spec)
+        assert (tmp_path / "attempted").exists()
+        # The marker now exists, so the serial run cannot kill pytest.
+        assert results == SerialExecutor().run(spec)
+
+    def test_stream_retries_after_a_worker_dies(self, tmp_path):
+        spec = self._die_once_spec(tmp_path)
+        with ParallelExecutor(jobs=2) as executor:
+            pairs = list(executor.stream(spec))
+        assert (tmp_path / "attempted").exists()
+        assert sorted(index for index, _ in pairs) == list(range(6))
+        assert [result for _, result in sorted(pairs)] == SerialExecutor().run(
+            spec
+        )
+
+    @pytest.mark.parametrize("mode", ["run", "stream"])
+    def test_second_break_raises_labelled_task_error(self, mode):
+        spec = ExperimentSpec(
+            fn=kill_on_zero,
+            tasks=(0, 1, 2, 3),
+            task_labels=("killer", "a", "b", "c"),
+        )
+        good = ExperimentSpec(fn=square, tasks=(2, 3))
+        with ParallelExecutor(jobs=2) as executor:
+            with pytest.raises(TaskError) as excinfo:
+                if mode == "run":
+                    executor.run(spec)
+                else:
+                    list(executor.stream(spec))
+            assert excinfo.value.label == "killer"
+            assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+            assert executor.run(good) == [4, 9]
 
 
 class TestExecutorFor:

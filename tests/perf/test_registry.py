@@ -91,8 +91,7 @@ class TestActiveSlot:
 
 
 class TestConcurrency:
-    """The registry is shared by a worker's soak + heartbeat threads;
-    reset() exports deltas that must neither drop nor double-count."""
+    """Producer threads sharing one registry never lose an update."""
 
     def test_concurrent_incr_is_lossless(self):
         import threading
@@ -110,60 +109,6 @@ class TestConcurrency:
         for thread in threads:
             thread.join()
         assert registry.counter("events") == producers * per_producer
-
-    def test_reset_deltas_partition_the_stream(self):
-        """Every increment lands in exactly one exported delta: the sum
-        of all reset() snapshots plus the final state equals the total,
-        however the resets interleave with the producers."""
-        import threading
-
-        registry = PerfRegistry()
-        producers, per_producer = 4, 2000
-        deltas = []
-        stop = threading.Event()
-
-        def pump():
-            for _ in range(per_producer):
-                registry.incr("events")
-                registry.observe("w", 1.0)
-
-        def reaper():
-            while not stop.is_set():
-                deltas.append(registry.reset())
-            deltas.append(registry.reset())
-
-        threads = [threading.Thread(target=pump) for _ in range(producers)]
-        collector = threading.Thread(target=reaper)
-        collector.start()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        stop.set()
-        collector.join()
-
-        total = producers * per_producer
-        counted = sum(d["counters"].get("events", 0) for d in deltas)
-        observed = sum(
-            d["observations"].get("w", {}).get("count", 0) for d in deltas
-        )
-        assert counted == total
-        assert observed == total
-        assert registry.counter("events") == 0  # fully drained
-
-    def test_reset_returns_snapshot_and_clears(self):
-        registry = PerfRegistry()
-        registry.incr("c", 3)
-        registry.observe("o", 2.0)
-        with registry.timer("t"):
-            pass
-        delta = registry.reset()
-        assert delta["counters"] == {"c": 3}
-        assert delta["observations"]["o"]["count"] == 1
-        assert "t" in delta["timers"]
-        assert registry.snapshot() == {
-            "counters": {}, "observations": {}, "timers": {}
-        }
 
 
 class TestZeroOverheadWhenDisabled:

@@ -29,6 +29,25 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError):
             ScenarioConfig(disclosure_delay=0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"loss_probability": 1.0, "loss_mean_burst": 3.0},
+            {"loss_probability": 0.2, "loss_mean_burst": 0.5},
+            {"loss_probability": 1.5},
+            {"loss_probability": -0.1},
+        ],
+    )
+    def test_bad_channel_rejected_at_construction(self, overrides):
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(**overrides)
+
+    def test_bursty_limits_still_accepted(self):
+        # Memoryless total loss and a burst length with no loss to shape
+        # stay legal: neither builds a Gilbert-Elliott channel.
+        ScenarioConfig(loss_probability=1.0)
+        ScenarioConfig(loss_probability=0.0, loss_mean_burst=0.5)
+
 
 class TestRunScenario:
     def test_deterministic_given_seed(self):

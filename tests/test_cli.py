@@ -560,84 +560,3 @@ class TestScenarioFlags:
         with path.open() as handle:
             rows = list(csv.reader(handle))
         assert len(rows) >= 2
-
-
-class TestCluster:
-    def test_soak_smoke_writes_report_and_metrics(self, tmp_path, capsys):
-        import json
-
-        report = tmp_path / "cluster_report.json"
-        metrics = tmp_path / "metrics.jsonl"
-        code = main(
-            ["cluster", "soak", "--scenario", "crowdsensing-baseline-t0",
-             "--workers", "2", "--duration", "60",
-             "--metrics", str(metrics), "--report", str(report)]
-        )
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        document = json.loads(report.read_text())
-        assert document["schema_version"] == 1
-        assert document["transport"] == "loopback"
-        assert document["forged_accepted"] == 0
-        assert json.loads(captured.out) == document
-        assert "reconciliation: ok" in captured.err
-        assert metrics.exists()
-        assert metrics.read_text().strip()
-
-    def test_unknown_scenario_exits_2(self, capsys):
-        code = main(
-            ["cluster", "soak", "--scenario", "no-such-scenario"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "no-such-scenario" in err
-
-    def test_rejects_zero_workers(self, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                ["cluster", "soak", "--scenario",
-                 "crowdsensing-baseline-t0", "--workers", "0"]
-            )
-        assert "positive integer" in capsys.readouterr().err
-
-    def test_rejects_zero_duration(self, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                ["cluster", "soak", "--scenario",
-                 "crowdsensing-baseline-t0", "--duration", "0"]
-            )
-
-    def test_rejects_negative_stall(self, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                ["cluster", "soak", "--scenario",
-                 "crowdsensing-baseline-t0", "--stall", "-1"]
-            )
-        assert "non-negative" in capsys.readouterr().err
-
-    def test_rejects_malformed_fault_spec(self, capsys):
-        code = main(
-            ["cluster", "soak", "--scenario", "crowdsensing-baseline-t0",
-             "--fault", "not-a-spec"]
-        )
-        assert code == 2
-        assert "fault spec" in capsys.readouterr().err
-
-    def test_cluster_requires_a_subcommand(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["cluster"])
-
-    def test_worker_rejects_malformed_connect(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["cluster", "worker", "--connect", "no-port"])
-        assert "HOST:PORT" in capsys.readouterr().err
-
-    def test_worker_fails_cleanly_when_coordinator_is_gone(self, capsys):
-        # Nothing listens on this port: the daemon must return 1 with a
-        # readable error, not raise.
-        code = main(
-            ["cluster", "worker", "--connect", "127.0.0.1:1",
-             "--max-runtime", "5"]
-        )
-        assert code == 1
-        assert "worker error" in capsys.readouterr().out
