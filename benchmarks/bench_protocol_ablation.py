@@ -82,7 +82,7 @@ def _multilevel_stack(variant: str):
         LooseTimeSync(0.01),
         params,
         cdm_buffers=4,
-        rng=random.Random(2),
+        draw_key=2,
     )
     receiver.bootstrap_commitment(1, sender.chain.low_commitment(1))
     return sender, receiver

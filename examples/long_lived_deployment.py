@@ -49,7 +49,7 @@ def main() -> None:
         sync=sync,
         local_key=b"node-17-local-key",
         buffers=BUFFERS,
-        rng=random.Random(17),
+        draw_key=17,
     )
     # A second receiver that loses every handoff reveal — the failure
     # mode the redundant handoffs protect against.
@@ -60,7 +60,7 @@ def main() -> None:
         sync=sync,
         local_key=b"node-99-local-key",
         buffers=BUFFERS,
-        rng=random.Random(99),
+        draw_key=99,
     )
 
     rng = random.Random(7)

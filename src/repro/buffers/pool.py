@@ -10,9 +10,9 @@ finite RAM), and tracks peak memory in bits so the storage claims in
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Generic, List, Optional, TypeVar
 
+from repro.buffers import keyed
 from repro.buffers.reservoir import (
     KeepFirstBuffer,
     OfferOutcome,
@@ -41,7 +41,10 @@ class IndexedBufferPool(Generic[T]):
             message+MAC pair).
         strategy: ``"reservoir"`` (Algorithm 2) or ``"keep_first"``
             (naive baseline).
-        rng: optional shared RNG for reproducibility.
+        draw_key: 64-bit key of the pool's reservoir draws, for
+            reproducible runs (a fresh random key when omitted). The
+            buffer for interval ``i`` draws under
+            :func:`~repro.buffers.keyed.buffer_key` ``(draw_key, i)``.
     """
 
     def __init__(
@@ -50,7 +53,7 @@ class IndexedBufferPool(Generic[T]):
         max_indices: Optional[int] = None,
         item_bits: int = 1,
         strategy: str = "reservoir",
-        rng: Optional[random.Random] = None,
+        draw_key: Optional[int] = None,
     ) -> None:
         if per_index_capacity <= 0:
             raise ConfigurationError(
@@ -70,15 +73,17 @@ class IndexedBufferPool(Generic[T]):
         self._max_indices = max_indices
         self._item_bits = item_bits
         self._strategy = strategy
-        self._rng = rng or random.Random()
+        self._key = keyed.fresh_key() if draw_key is None else draw_key
         self._buffers: Dict[int, PacketBuffer[T]] = {}
         self._peak_bits = 0
         self._offers = 0
         self._rejected_no_room = 0
 
-    def _new_buffer(self) -> PacketBuffer[T]:
+    def _new_buffer(self, index: int) -> PacketBuffer[T]:
         if self._strategy == "reservoir":
-            return ReservoirBuffer(self._capacity, rng=self._rng)
+            return ReservoirBuffer(
+                self._capacity, draw_key=keyed.buffer_key(self._key, index)
+            )
         return KeepFirstBuffer(self._capacity)
 
     @property
@@ -141,7 +146,7 @@ class IndexedBufferPool(Generic[T]):
             if self._max_indices is not None and len(self._buffers) >= self._max_indices:
                 self._rejected_no_room += 1
                 return OfferResult(OfferOutcome.REJECTED)
-            buf = self._new_buffer()
+            buf = self._new_buffer(index)
             self._buffers[index] = buf
         result = buf.offer(item)
         if result.stored:

@@ -18,12 +18,12 @@ matters.
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from typing import Generic, Iterable, Iterator, List, Optional, TypeVar
 
+from repro.buffers import keyed
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -115,11 +115,11 @@ class PacketBuffer(ABC, Generic[T]):
     def offer_many(self, items: Iterable[T]) -> int:
         """Offer a whole flood of items; returns how many were stored.
 
-        State-identical to calling :meth:`offer` per item in order
-        (including every RNG draw a strategy makes), but skips the
-        per-item :class:`OfferResult` allocation — the batched fast
-        path for slot-granular flood processing. Subclasses may
-        override with a tighter loop; this default simply delegates.
+        State-identical to calling :meth:`offer` per item in order,
+        but skips the per-item :class:`OfferResult` allocation — the
+        batched fast path for slot-granular flood processing.
+        Subclasses may override with a tighter loop; this default
+        simply delegates.
         """
         stored = 0
         for item in items:
@@ -135,14 +135,20 @@ class ReservoirBuffer(PacketBuffer[T]):
     offers, the buffer holds a uniformly random ``m``-subset of the
     offered items; each item survives with probability exactly ``m/n``.
 
+    The two uniform draws an offer to a full buffer needs are
+    :func:`repro.buffers.keyed.replacement_slot` of ``(draw_key, k)``:
+    a pure function of the buffer's key and the offer's rank, so the
+    buffer's contents follow from its key and the offered sequence.
+
     Args:
         capacity: ``m``, the number of buffers the node dedicates.
-        rng: optional :class:`random.Random` for reproducible runs.
+        draw_key: 64-bit key of the buffer's draws, for reproducible
+            runs; a fresh random key when omitted.
     """
 
-    def __init__(self, capacity: int, rng: Optional[random.Random] = None) -> None:
+    def __init__(self, capacity: int, draw_key: Optional[int] = None) -> None:
         super().__init__(capacity)
-        self._rng = rng or random.Random()
+        self._key = keyed.fresh_key() if draw_key is None else draw_key
 
     def offer(self, item: T) -> OfferResult[T]:
         self._seen += 1
@@ -150,60 +156,36 @@ class ReservoirBuffer(PacketBuffer[T]):
             # Algorithm 2 line 6-7: free buffer available, always store.
             self._items.append(item)
             return OfferResult(OfferOutcome.STORED_EMPTY)
-        # Algorithm 2 line 9: keep the k-th copy with probability m/k ...
-        if self._rng.random() >= self._capacity / self._seen:
+        # Algorithm 2 lines 9-11: keep the k-th copy with probability
+        # m/k, replacing a uniformly random buffered copy.
+        victim = keyed.replacement_slot(self._key, self._seen, self._capacity)
+        if victim is None:
             return OfferResult(OfferOutcome.REJECTED)
-        # ... line 11: replace a uniformly random buffered copy.
-        victim = self._rng.randrange(self._capacity)
         evicted = self._items[victim]
         self._items[victim] = item
         return OfferResult(OfferOutcome.STORED_REPLACED, evicted=evicted)
 
     def offer_many(self, items: Iterable[T]) -> int:
-        """Draw-identical batched :meth:`offer` (Algorithm 2 per item).
+        """Batched :meth:`offer` without the per-item result objects.
 
-        The ``m/k`` acceptance draw and the uniform victim draw are
-        consumed from the same RNG stream, in the same order, as the
-        per-item path — offering ``[a, b, c]`` here leaves the buffer,
-        the seen counter *and the RNG* in the state three ``offer``
-        calls would. For a plain :class:`random.Random` the victim draw
-        inlines ``randrange``'s ``getrandbits`` rejection loop, which
-        is where the scalar path spends most of its time under a flood.
+        Offering ``[a, b, c]`` here leaves the buffer and its seen
+        counter in the state three ``offer`` calls would: both take the
+        same keyed draw for each rank.
         """
         capacity = self._capacity
         held = self._items
+        key = self._key
         seen = self._seen
         stored = 0
-        rng = self._rng
-        rand = rng.random
-        if type(rng) is random.Random:
-            # CPython's randrange(n) is _randbelow_with_getrandbits:
-            # k = n.bit_length(); draw getrandbits(k) until < n. Inlined
-            # it consumes the identical stream without the Python-level
-            # argument plumbing of the randrange wrapper.
-            getrandbits = rng.getrandbits
-            k = capacity.bit_length()
-            for item in items:
-                seen += 1
-                if len(held) < capacity:
-                    held.append(item)
-                    stored += 1
-                elif rand() < capacity / seen:
-                    victim = getrandbits(k)
-                    while victim >= capacity:
-                        victim = getrandbits(k)
-                    held[victim] = item
-                    stored += 1
-            self._seen = seen
-            return stored
-        randrange = rng.randrange
         for item in items:
             seen += 1
             if len(held) < capacity:
                 held.append(item)
                 stored += 1
-            elif rand() < capacity / seen:
-                held[randrange(capacity)] = item
+                continue
+            victim = keyed.replacement_slot(key, seen, capacity)
+            if victim is not None:
+                held[victim] = item
                 stored += 1
         self._seen = seen
         return stored

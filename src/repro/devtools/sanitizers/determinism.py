@@ -19,10 +19,10 @@ the DES and the fleet engine legitimately consume streams in different
 orders; what must match is each stream's own draw sequence.
 
 The wrapper is a genuine :class:`random.Random` *subclass* so
-``isinstance`` checks pass, while ``type(rng) is random.Random`` fast
-paths (e.g. ``ReservoirBuffer.offer_many``) deliberately fail and fall
-back to their draw-for-draw-identical scalar routes — tracing slows
-runs down but never changes the bytes drawn.
+``isinstance`` checks pass; tracing slows runs down but never changes
+the bytes drawn. Reservoir decisions are not stream draws at all (they
+are keyed by :mod:`repro.buffers.keyed`), so the per-receiver draw keys
+appear in the trace as the master-stream draws that produce them.
 
 Testing hook: ``DeterminismSanitizer(corrupt_draw=k)`` flips the k-th
 recorded draw (0-based, global across streams) and *returns the

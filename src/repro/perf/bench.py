@@ -28,7 +28,7 @@ Sections:
     Algorithm 2 under a flood:
     :meth:`~repro.buffers.reservoir.ReservoirBuffer.offer_many` vs
     per-copy :meth:`~repro.buffers.reservoir.ReservoirBuffer.offer`,
-    end state asserted identical (same RNG stream) in the same run.
+    end state asserted identical (same draw key) in the same run.
 ``fast_umac``
     μMAC tagging three ways: scalar HMAC
     :meth:`~repro.crypto.mac.MicroMacScheme.compute`, batched
@@ -42,15 +42,15 @@ Sections:
     peak pebbles vs the dense chain's ``n`` keys).
 ``scenario``
     The end-to-end fig5 run, three ways on one config and seed: the
-    naive stack (event-driven DES, kernels off), the fleet engine on
-    its scalar reference replay (kernels off), and the kernel stack
-    (fleet engine's vectorized reservoir kernel + batched crypto,
-    kernels on) — all three summaries asserted byte-identical in the
-    same run, with the counter deltas that prove the kernel run
-    exercised the crypto hot path. ``speedup`` is naive stack vs
-    kernel stack; ``replay_speedup`` isolates the vectorized replay
-    (fleet kernels off vs on). The preset's ``scenario_receivers``
-    scales the catalog config's fleet so the walls are measurable.
+    naive stack (event-driven DES, kernels off), the fleet engine with
+    the crypto kernels off, and the kernel stack (fleet engine +
+    batched crypto, kernels on) — all three summaries asserted
+    byte-identical in the same run, with the counter deltas that prove
+    the kernel run exercised the crypto hot path. ``speedup`` is naive
+    stack vs kernel stack; ``replay_speedup`` isolates what the crypto
+    kernels add inside the fleet engine (kernels off vs on). The
+    preset's ``scenario_receivers`` scales the catalog config's fleet
+    so the walls are measurable.
 
 A second suite, :func:`run_sim_bench` (``repro bench --suite sim``,
 ``BENCH_sim.json``), measures the vectorized fleet engine
@@ -70,7 +70,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import platform
-import random
 import resource
 import time
 from pathlib import Path
@@ -324,8 +323,8 @@ def _bench_mac_batch(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]:
 def _bench_umac_reservoir(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]:
     """Algorithm-2 flood absorption: per-copy ``offer`` vs ``offer_many``.
 
-    Before timing, one seeded pair of buffers is run both ways and the
-    survivors, offer counters and final RNG states are compared — the
+    Before timing, one pair of buffers with the same draw key is run
+    both ways and the survivors and offer counters are compared — the
     artifact's ``identical_survivors`` is a checked fact for the exact
     flood being timed, not an assumption.
     """
@@ -333,14 +332,10 @@ def _bench_umac_reservoir(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]
     capacity = int(preset["reservoir_capacity"])
     items = list(range(flood))
 
-    sequential_buf: ReservoirBuffer[int] = ReservoirBuffer(
-        capacity, rng=random.Random(0xA2)
-    )
+    sequential_buf: ReservoirBuffer[int] = ReservoirBuffer(capacity, draw_key=0xA2)
     for item in items:
         sequential_buf.offer(item)
-    batched_buf: ReservoirBuffer[int] = ReservoirBuffer(
-        capacity, rng=random.Random(0xA2)
-    )
+    batched_buf: ReservoirBuffer[int] = ReservoirBuffer(capacity, draw_key=0xA2)
     batched_buf.offer_many(items)
     if (
         sequential_buf.items != batched_buf.items
@@ -348,21 +343,17 @@ def _bench_umac_reservoir(preset: Dict[str, Any], repeat: int) -> Dict[str, Any]
     ):
         raise ReproError(
             "ReservoirBuffer.offer_many diverged from sequential offers —"
-            " the batched path no longer replays Algorithm 2 draw-for-draw"
+            " the batched path no longer replays Algorithm 2 offer-for-offer"
         )
 
     def per_copy() -> int:
-        buf: ReservoirBuffer[int] = ReservoirBuffer(
-            capacity, rng=random.Random(0x5EED)
-        )
+        buf: ReservoirBuffer[int] = ReservoirBuffer(capacity, draw_key=0x5EED)
         for item in items:
             buf.offer(item)
         return flood
 
     def batched() -> int:
-        buf: ReservoirBuffer[int] = ReservoirBuffer(
-            capacity, rng=random.Random(0x5EED)
-        )
+        buf: ReservoirBuffer[int] = ReservoirBuffer(capacity, draw_key=0x5EED)
         buf.offer_many(items)
         return flood
 
@@ -446,15 +437,16 @@ def _bench_scenario(preset: Dict[str, Any]) -> Dict[str, Any]:
     """End-to-end fig5 three ways on one config and seed.
 
     1. event-driven engine, kernels off — the naive stack;
-    2. fleet engine, kernels off — the scalar reference replay;
+    2. fleet engine, kernels off — the same replay without the crypto
+       kernels;
     3. fleet engine, kernels on — the kernel stack (batched MACs,
-       midstates, one-pass numpy reservoir replay).
+       midstates).
 
     All three summaries must be byte-identical (a single divergence
     fails the bench), so the headline ``speedup`` — naive stack over
     kernel stack — compares two runs *proven in this very invocation*
-    to compute the same answer. ``replay_speedup`` isolates the
-    vectorized replay against the scalar fleet reference.
+    to compute the same answer. ``replay_speedup`` isolates the crypto
+    kernels inside the fleet engine.
     """
     base = SCENARIO_PRESETS[str(preset["scenario"])]
     receivers = int(preset.get("scenario_receivers", base.receivers))

@@ -13,7 +13,6 @@ factors that machinery out:
 
 from __future__ import annotations
 
-import random
 from typing import List, Optional, Set, Tuple
 
 from repro.buffers.pool import IndexedBufferPool
@@ -22,8 +21,8 @@ from repro.crypto.keychain import KeyChainAuthenticator
 from repro.crypto.mac import MacScheme
 from repro.crypto.onewayfn import OneWayFunction
 from repro.errors import ConfigurationError, KeyVerificationError
+from repro.protocols import base
 from repro.protocols.base import (
-    MAX_KEY_GAP,
     AuthEvent,
     AuthOutcome,
     ReceiverStats,
@@ -47,7 +46,7 @@ class ChainReceiverCore:
             defence) or ``"reservoir"`` (Algorithm 2 selection).
         max_intervals: bound on simultaneously buffered intervals.
         stats: the owning receiver's stats object (shared).
-        rng: RNG for the reservoir strategy.
+        draw_key: 64-bit key of the reservoir strategy's draws.
         walk_cache: optional shared back-walk memo (must wrap
             ``function``); defaults to a private per-receiver cache.
     """
@@ -62,8 +61,7 @@ class ChainReceiverCore:
         buffer_strategy: str,
         max_intervals: Optional[int],
         stats: ReceiverStats,
-        rng: Optional[random.Random] = None,
-        max_key_gap: int = MAX_KEY_GAP,
+        draw_key: Optional[int] = None,
         walk_cache: Optional[ChainWalkCache] = None,
     ) -> None:
         if buffer_capacity <= 0:
@@ -80,7 +78,7 @@ class ChainReceiverCore:
         self._authenticator = KeyChainAuthenticator(
             commitment,
             function,
-            max_gap=max_key_gap,
+            max_gap=base.MAX_KEY_GAP,
             walk_cache=walk_cache if walk_cache is not None else ChainWalkCache(function),
         )
         self._condition = condition
@@ -91,7 +89,7 @@ class ChainReceiverCore:
             max_indices=max_intervals,
             item_bits=probe.stored_bits,
             strategy=buffer_strategy,
-            rng=rng,
+            draw_key=draw_key,
         )
         self._stats = stats
         self._authenticated: Set[int] = set()

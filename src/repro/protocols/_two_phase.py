@@ -22,7 +22,6 @@ DAP        index + 24b μMAC    reservoir (Alg. 2 m/k)  dap
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.buffers.pool import IndexedBufferPool
@@ -32,8 +31,8 @@ from repro.crypto.mac import INDEX_BITS, MacScheme, MicroMacScheme
 from repro.crypto.pebbled import KeyChainLike, make_key_chain
 from repro.crypto.onewayfn import OneWayFunction
 from repro.errors import ConfigurationError, KeyVerificationError
+from repro.protocols import base
 from repro.protocols.base import (
-    MAX_KEY_GAP,
     AuthEvent,
     AuthOutcome,
     BroadcastSender,
@@ -172,7 +171,8 @@ class TwoPhaseReceiverCore:
         strategy: ``"reservoir"`` (Algorithm 2) or ``"keep_first"``.
         max_intervals: bound on simultaneously buffered intervals.
         stats: owning receiver's counters.
-        rng: RNG for the reservoir rule.
+        draw_key: 64-bit key of the reservoir rule's draws (see
+            :class:`~repro.buffers.pool.IndexedBufferPool`).
         walk_cache: optional shared back-walk memo (must wrap
             ``function``); defaults to a private per-receiver cache.
     """
@@ -189,8 +189,7 @@ class TwoPhaseReceiverCore:
         strategy: str,
         max_intervals: Optional[int],
         stats: ReceiverStats,
-        rng: Optional[random.Random] = None,
-        max_key_gap: int = MAX_KEY_GAP,
+        draw_key: Optional[int] = None,
         walk_cache: Optional[ChainWalkCache] = None,
     ) -> None:
         if buffers <= 0:
@@ -201,12 +200,15 @@ class TwoPhaseReceiverCore:
         # forged disclosure can burn — an attacker submitting a huge
         # index must not be able to spend the receiver's CPU (a
         # computational-DoS vector orthogonal to the memory one).
+        # The bound is read from ``base`` here, not bound at import: the
+        # fleet engine reads the same attribute when it replays, so both
+        # engines always apply one bound.
         # ``walk_cache`` may be shared across a fleet (all receivers
         # back-walk the same disclosed keys); it must wrap ``function``.
         self._authenticator = KeyChainAuthenticator(
             commitment,
             function,
-            max_gap=max_key_gap,
+            max_gap=base.MAX_KEY_GAP,
             walk_cache=walk_cache if walk_cache is not None else ChainWalkCache(function),
         )
         self._condition = condition
@@ -219,7 +221,7 @@ class TwoPhaseReceiverCore:
             max_indices=max_intervals,
             item_bits=record_bits,
             strategy=strategy,
-            rng=rng,
+            draw_key=draw_key,
         )
         self._stats = stats
         self._resolved: Set[Tuple[int, bytes]] = set()
@@ -282,7 +284,7 @@ class TwoPhaseReceiverCore:
             return []  # duplicate reveal of an already-authenticated message
         # Weak authentication: the disclosed key must verify against the
         # chain (generalised from h(K_i) != K_{i-1} to arbitrary gaps,
-        # bounded by max_key_gap against CPU-burning forgeries). A key
+        # bounded by MAX_KEY_GAP against CPU-burning forgeries). A key
         # *older* than the trusted anchor — a reveal overtaken in flight
         # by its successor — is checked by deriving it from the anchor,
         # which one-wayness makes sound.

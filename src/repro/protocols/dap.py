@@ -25,7 +25,6 @@ security condition, exactly as in TESLA. The test suite checks the
 
 from __future__ import annotations
 
-import random
 from typing import Callable, List, Optional
 
 from repro.crypto.kernels import ChainWalkCache
@@ -84,6 +83,9 @@ class DapReceiver(BroadcastReceiver):
         buffers: ``m`` — the parameter the evolutionary game optimises.
         micro_mac_bits: μMAC width (paper: 24).
         max_intervals: bound on simultaneously buffered intervals.
+        draw_key: 64-bit key of the reservoir's draws (a fresh random
+            key when omitted); the scenario builders pass the master
+            seed ladder's per-receiver draw.
     """
 
     def __init__(
@@ -96,7 +98,7 @@ class DapReceiver(BroadcastReceiver):
         function: Optional[OneWayFunction] = None,
         mac_scheme: Optional[MacScheme] = None,
         max_intervals: Optional[int] = None,
-        rng: Optional[random.Random] = None,
+        draw_key: Optional[int] = None,
         walk_cache: Optional[ChainWalkCache] = None,
     ) -> None:
         super().__init__()
@@ -111,7 +113,7 @@ class DapReceiver(BroadcastReceiver):
             strategy="reservoir",
             max_intervals=max_intervals,
             stats=self._stats,
-            rng=rng,
+            draw_key=draw_key,
             walk_cache=walk_cache,
         )
 

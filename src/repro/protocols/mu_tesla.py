@@ -13,7 +13,6 @@ buffer ``(message, MAC)`` records, verify retroactively on disclosure.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.crypto.kernels import ChainWalkCache
@@ -129,7 +128,7 @@ class MuTeslaReceiver(BroadcastReceiver):
         buffer_capacity: int = 64,
         buffer_strategy: str = "keep_first",
         max_intervals: Optional[int] = None,
-        rng: Optional[random.Random] = None,
+        draw_key: Optional[int] = None,
         walk_cache: Optional[ChainWalkCache] = None,
     ) -> None:
         super().__init__()
@@ -142,7 +141,7 @@ class MuTeslaReceiver(BroadcastReceiver):
             buffer_strategy=buffer_strategy,
             max_intervals=max_intervals,
             stats=self._stats,
-            rng=rng,
+            draw_key=draw_key,
             walk_cache=walk_cache,
         )
 

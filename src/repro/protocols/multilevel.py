@@ -26,10 +26,10 @@ preconfigured subclasses.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.buffers import keyed
 from repro.buffers.pool import IndexedBufferPool
 from repro.crypto.keychain import (
     KeyChainAuthenticator,
@@ -348,7 +348,10 @@ class MultiLevelReceiver(BroadcastReceiver):
         low_buffer_capacity: data records buffered per sub-interval.
         low_buffer_strategy: ``"reservoir"`` or ``"keep_first"``.
         mac_scheme / functions: crypto parameters.
-        rng: RNG for the reservoir rules.
+        draw_key: 64-bit key of the reservoir rules' draws (a fresh
+            random key when omitted). The CDM and data pools draw under
+            it XOR their pool tags (:data:`repro.buffers.keyed.CDM_POOL`,
+            :data:`~repro.buffers.keyed.DATA_POOL`).
     """
 
     def __init__(
@@ -362,7 +365,7 @@ class MultiLevelReceiver(BroadcastReceiver):
         low_buffer_strategy: str = "reservoir",
         mac_scheme: Optional[MacScheme] = None,
         functions: Optional[Dict[str, OneWayFunction]] = None,
-        rng: Optional[random.Random] = None,
+        draw_key: Optional[int] = None,
     ) -> None:
         super().__init__()
         if schedule.low_per_high != params.low_length:
@@ -374,7 +377,7 @@ class MultiLevelReceiver(BroadcastReceiver):
         self._schedule = schedule
         self._fns = functions or standard_functions()
         self._mac = mac_scheme or MacScheme()
-        self._rng = rng or random.Random()
+        key = keyed.fresh_key() if draw_key is None else draw_key
         # Gap bound: a forged CDM with a huge disclosed_index must not
         # cost unbounded hash iterations (computational-DoS hardening).
         self._high_auth = KeyChainAuthenticator(
@@ -391,14 +394,14 @@ class MultiLevelReceiver(BroadcastReceiver):
             per_index_capacity=cdm_buffers,
             item_bits=probe_cdm.wire_bits,
             strategy="reservoir",
-            rng=self._rng,
+            draw_key=key ^ keyed.CDM_POOL,
         )
         probe_rec = StoredPacketRecord(0, b"\x00" * 25, b"\x00" * 10)
         self._data_pool: IndexedBufferPool[StoredPacketRecord] = IndexedBufferPool(
             per_index_capacity=low_buffer_capacity,
             item_bits=probe_rec.stored_bits,
             strategy=low_buffer_strategy,
-            rng=self._rng,
+            draw_key=key ^ keyed.DATA_POOL,
         )
         self._chains: Dict[int, _LowChainState] = {}
         self._commitments: Dict[int, bytes] = {}

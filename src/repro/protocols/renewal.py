@@ -21,9 +21,9 @@ epoch (and the receiver reports exactly that via
 from __future__ import annotations
 
 import dataclasses
-import random
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
+from repro.buffers import keyed
 from repro.crypto.pebbled import KeyChainLike, make_key_chain
 from repro.crypto.mac import MacScheme, MicroMacScheme
 from repro.crypto.onewayfn import OneWayFunction
@@ -218,7 +218,8 @@ class RenewingDapReceiver(BroadcastReceiver):
     translating between global and chain-local indices. Packets for an
     epoch whose commitment never arrived are counted in
     :attr:`orphaned_epochs` — the failure mode a flooding attacker aims
-    for and the handoff redundancy defends against.
+    for and the handoff redundancy defends against. Epoch ``e``'s core
+    draws its reservoir under ``keyed.buffer_key(draw_key, e)``.
     """
 
     def __init__(
@@ -233,7 +234,7 @@ class RenewingDapReceiver(BroadcastReceiver):
         micro_mac_bits: int = 24,
         function: Optional[OneWayFunction] = None,
         mac_scheme: Optional[MacScheme] = None,
-        rng: Optional[random.Random] = None,
+        draw_key: Optional[int] = None,
     ) -> None:
         super().__init__()
         if epoch_length < 3:
@@ -247,7 +248,7 @@ class RenewingDapReceiver(BroadcastReceiver):
         self._micro_bits = micro_mac_bits
         self._function = function or OneWayFunction("F")
         self._mac = mac_scheme or MacScheme()
-        self._rng = rng or random.Random()
+        self._key = keyed.fresh_key() if draw_key is None else draw_key
         self._cores: Dict[int, TwoPhaseReceiverCore] = {}
         self._commitments: Dict[int, bytes] = {0: bytes(first_commitment)}
         self._renewed: Set[int] = set()
@@ -293,7 +294,7 @@ class RenewingDapReceiver(BroadcastReceiver):
             strategy="reservoir",
             max_intervals=None,
             stats=self._stats,
-            rng=random.Random(self._rng.getrandbits(64)),
+            draw_key=keyed.buffer_key(self._key, epoch),
         )
         self._cores[epoch] = core
         return core

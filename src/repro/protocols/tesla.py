@@ -13,7 +13,6 @@ retroactive for every buffered interval the new anchor covers.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.crypto.kernels import ChainWalkCache
@@ -134,7 +133,7 @@ class TeslaReceiver(BroadcastReceiver):
         buffer_capacity: int = 64,
         buffer_strategy: str = "keep_first",
         max_intervals: Optional[int] = None,
-        rng: Optional[random.Random] = None,
+        draw_key: Optional[int] = None,
         walk_cache: Optional[ChainWalkCache] = None,
     ) -> None:
         super().__init__()
@@ -147,7 +146,7 @@ class TeslaReceiver(BroadcastReceiver):
             buffer_strategy=buffer_strategy,
             max_intervals=max_intervals,
             stats=self._stats,
-            rng=rng,
+            draw_key=draw_key,
             walk_cache=walk_cache,
         )
 

@@ -21,7 +21,6 @@ that DAP builds on, but (as modelled by the paper's comparison):
 
 from __future__ import annotations
 
-import random
 from typing import Callable, List, Optional
 
 from repro.crypto.kernels import ChainWalkCache
@@ -78,7 +77,7 @@ class TeslaPlusPlusReceiver(BroadcastReceiver):
         function: Optional[OneWayFunction] = None,
         mac_scheme: Optional[MacScheme] = None,
         max_intervals: Optional[int] = None,
-        rng: Optional[random.Random] = None,
+        draw_key: Optional[int] = None,
         walk_cache: Optional[ChainWalkCache] = None,
     ) -> None:
         super().__init__()
@@ -94,7 +93,7 @@ class TeslaPlusPlusReceiver(BroadcastReceiver):
             strategy="keep_first",
             max_intervals=max_intervals,
             stats=self._stats,
-            rng=rng,
+            draw_key=draw_key,
             walk_cache=walk_cache,
         )
 

@@ -6,9 +6,10 @@ laid out up front, per-slot channel decisions are drawn for *all*
 receivers at once (a block-wise vectorized Markov transition over a
 ``(receivers,)`` Gilbert–Elliott state array, or one Bernoulli mask,
 bit-packed so the full delivery matrix costs one bit per decision),
-and the per-receiver buffer/authentication state machines run as tight
-loops over the delivered-slot indices — no heapq, no per-delivery
-closures, and no per-record HMAC in the replay loops (all MAC and
+and the buffer/authentication state machines run as numpy over whole
+receiver blocks (two-phase) or as tight per-receiver loops over the
+delivered-slot indices (single- and multi-level) — no heapq, no
+per-delivery closures, and no per-record HMAC in the replays (all MAC and
 key-chain outcomes are decided up front by batched
 :meth:`~repro.crypto.mac.MacScheme.verify_many` tables and record
 *identity*, with exact collision fallbacks).
@@ -25,13 +26,10 @@ All seven catalog protocols are covered — the canonical table lives in
 Exactness contract
 ------------------
 
-The engine mirrors the discrete-event simulator's RNG draw order — the
-same technique the fault-injection proxy uses to reproduce
-``BroadcastMedium`` node-for-node — so ``run_fleet_scenario(config)``
-returns the *identical* summary ``run_scenario`` produces at the same
-seed, for every family:
+``run_fleet_scenario(config)`` returns the *identical* summary
+``run_scenario`` produces at the same seed, for every family:
 
-- master draws: medium seed, per-receiver seeds (receiver order),
+- master draws: medium seed, per-receiver draw keys (receiver order),
   attacker seed — exactly as ``run_scenario`` + the family builders;
 - medium draws: one shared stream, consumed broadcast-by-broadcast in
   attachment order, one uniform per Bernoulli decision and two per
@@ -39,16 +37,14 @@ seed, for every family:
   replayed through a mirrored ``numpy`` Mersenne state in bounded
   blocks along the slot axis, carrying the per-lane channel state
   between blocks;
-- reservoir draws: per-receiver ``random.Random`` streams replay
-  Algorithm 2's ``m/k`` rule offer-for-offer. With the crypto kernels
-  on, the two-phase replay runs a one-pass numpy reservoir kernel:
-  segmented-cumsum ranks decide every free-slot fill for a whole
-  slot flood at once, and only the overflow offers (rank past
-  capacity) reach a tight scalar loop that consumes the acceptance
-  ``random()`` and the inlined ``randrange``/``getrandbits``
-  rejection draws in exactly the per-offer order. Multi-level
-  receivers share one stream between the CDM and data pools in
-  delivery order, as the DES receiver does;
+- reservoir draws: Algorithm 2's two uniforms for offer ``k`` to a full
+  buffer are :mod:`repro.buffers.keyed` draws of ``(receiver key,
+  interval, k)`` — pure functions, not stream positions — so the
+  fleet evaluates them in any order. The two-phase replay draws every
+  overflow offer of a receiver block in one ``uint64`` numpy call and
+  keeps, per slot, the last accepted offer that targeted it; the
+  multi-level replay evaluates the same scalar draw inline, with the
+  CDM and data pools keyed by their pool tags as in the DES receiver;
 - forged bytes are replayed from the attacker stream in injection
   order, which is what makes every collision fallback exact.
 
@@ -79,6 +75,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import groupby
 from multiprocessing import shared_memory
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
@@ -86,20 +83,30 @@ import numpy as np
 
 from repro import perf
 from repro.analysis.statistics import MeanEstimate, mean_estimate
-from repro.crypto import kernels
+from repro.buffers.keyed import (
+    CDM_POOL,
+    DATA_POOL,
+    GAMMA,
+    MASK,
+    UNIT,
+    buffer_key,
+    mix,
+    mix_array,
+    replacement_slots,
+)
 from repro.crypto.mac import INDEX_BITS, MacScheme, MicroMacScheme
 from repro.crypto.onewayfn import OneWayFunction, standard_functions
 from repro.devtools.sanitizers.determinism import traced_rng
 from repro.devtools.sanitizers.resources import release_resource, track_resource
 from repro.engine.executors import Executor
 from repro.engine.spec import ExperimentSpec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.protocols import base as protocol_base
 from repro.protocols.dap import DapSender
 from repro.protocols.edrp import edrp_params
 from repro.protocols.eftp import eftp_params
 from repro.protocols.messages import forged_message
 from repro.protocols.mu_tesla import MuTeslaSender
-from repro.protocols.base import MAX_KEY_GAP
 from repro.protocols.multilevel import (
     LOW_BUFFER_CAPACITY,
     MultiLevelParams,
@@ -873,154 +880,15 @@ _Counts = Tuple[
 ]
 
 
-def _replay_two_phase(
-    plan: _TwoPhasePlan,
-    config: ScenarioConfig,
-    start: int,
-    seeds: Sequence[int],
-    delivered: np.ndarray,
-) -> _Counts:
-    """Two-phase replay dispatch: the vectorized slot-flood kernel when
-    the crypto kernels are on, the scalar reference loop otherwise.
-
-    Both paths are byte-identical (the parity tests run seeded
-    scenarios through each and compare summaries against the DES); the
-    kernel processes a whole slot's flood per numpy call instead of one
-    Python iteration per delivered copy.
-    """
-    if kernels.ENABLED:
-        pre = _two_phase_precompute(plan)
-        if pre is not None:
-            return _replay_two_phase_vectorized(
-                plan, pre, config, start, seeds, delivered
-            )
-    return _replay_two_phase_reference(plan, config, start, seeds, delivered)
-
-
-def _replay_two_phase_reference(
-    plan: _TwoPhasePlan,
-    config: ScenarioConfig,
-    start: int,
-    seeds: Sequence[int],
-    delivered: np.ndarray,
-) -> _Counts:
-    """Scalar per-copy replay — the ``kernels_disabled()`` reference
-    path the vectorized kernel is parity-tested against."""
-    kinds = plan.kinds
-    intervals = plan.intervals
-    sources = plan.sources
-    gate = plan.gate
-    announce_macs = plan.announce_macs
-    forged_macs = plan.forged_macs
-    reservoir = plan.reservoir
-    micro = MicroMacScheme(plan.item_bits - INDEX_BITS)
-    capacity = config.buffers
-
-    out: Tuple[List[int], ...] = ([], [], [], [], [], [], [], [])
-    (auth_c, lost_c, rejf_c, weak_c, disc_c, facc_c, recv_c, peak_c) = out
-    for local, seed in enumerate(seeds):
-        local_key = _seed_bytes(config, f"local-{start + local}")
-        rng_r = traced_rng(random.Random(seed), f"receiver-{start + local}")
-        rand = rng_r.random
-        randrange = rng_r.randrange
-        delivered_slots = np.nonzero(delivered[:, local])[0].tolist()
-        # interval -> [seen_count, slot values]; a slot value names the
-        # MAC bytes the DES would have re-hashed into that record.
-        buckets: Dict[int, List[Any]] = {}
-        resolved = set()
-        trusted = 0
-        stored = 0
-        peak = 0
-        n_auth = n_lost = n_weak = n_discarded = 0
-        for b in delivered_slots:
-            kind = kinds[b]
-            if kind != _REVEAL:
-                if not gate[b]:
-                    n_discarded += 1
-                    continue
-                interval = intervals[b]
-                bucket = buckets.get(interval)
-                if bucket is None:
-                    bucket = [0, []]
-                    buckets[interval] = bucket
-                bucket[0] += 1
-                held = bucket[1]
-                if len(held) < capacity:
-                    held.append(sources[b])
-                    stored += 1
-                    if stored > peak:
-                        peak = stored
-                elif reservoir:
-                    # Algorithm 2: keep copy k with probability m/k,
-                    # replacing a uniformly random buffered copy.
-                    if rand() < capacity / bucket[0]:
-                        held[randrange(capacity)] = sources[b]
-                continue
-            interval = intervals[b]
-            source = sources[b]
-            key = (interval, source)
-            if key in resolved:
-                continue
-            if interval > trusted:
-                if interval - trusted > MAX_KEY_GAP:
-                    n_weak += 1
-                    continue
-                trusted = interval
-            # Weak auth passed: free records older than interval - 1
-            # (one interval of slack for reordered reveals).
-            cutoff = interval - 1
-            stale = [i for i in buckets if i < cutoff]
-            for i in stale:
-                stored -= len(buckets.pop(i)[1])
-            bucket = buckets.get(interval)
-            matched = False
-            if bucket is not None and bucket[1]:
-                held = bucket[1]
-                if source in held:
-                    matched = True
-                else:
-                    # No surviving record shares this reveal's MAC
-                    # bytes — decide by actual μMAC equality so 24-bit
-                    # collisions authenticate exactly as in the DES.
-                    # reprolint: disable=RPL009 -- scalar reference replay: keeps the per-slot shape the vectorized kernel's compute_many batch is parity-tested against
-                    expected = micro.compute(local_key, announce_macs[key])
-                    for slot in held:
-                        mac = (
-                            announce_macs[(interval, slot)]
-                            if slot >= 0
-                            else forged_macs[-1 - slot]
-                        )
-                        # reprolint: disable=RPL009 -- scalar reference replay: per-slot digest order is the baseline the batched kernel path must reproduce
-                        if micro.compute(local_key, mac) == expected:
-                            matched = True
-                            break
-            if matched:
-                resolved.add(key)
-                n_auth += 1
-            else:
-                n_lost += 1
-        auth_c.append(n_auth)
-        lost_c.append(n_lost)
-        rejf_c.append(0)
-        weak_c.append(n_weak)
-        disc_c.append(n_discarded)
-        facc_c.append(0)
-        recv_c.append(len(delivered_slots))
-        peak_c.append(peak * plan.item_bits)
-    return out  # type: ignore[return-value]
-
-
 @dataclass(frozen=True)
 class _TwoPhaseVecPlan:
     """Receiver-independent numpy views of a :class:`_TwoPhasePlan`.
 
     Offers (gated announce/forged slots) are grouped into contiguous
     per-interval *runs*; reveals carry their position within the offer
-    sequence so fills-before-reveal falls out of one cumulative sum.
-    :func:`_two_phase_precompute` returns ``None`` when the slot layout
-    violates the window structure the kernel's frozen-bucket argument
-    needs (never true for plans built here) — the dispatcher then runs
-    the scalar reference loop instead.
+    sequence so fills-before-reveal falls out of one cumulative sum,
+    their run (``-1`` when the interval has no offers) and a dense id
+    of their ``(interval, source)`` key.
     """
 
     offer_rows: np.ndarray
@@ -1029,24 +897,26 @@ class _TwoPhaseVecPlan:
     run_starts: np.ndarray
     run_ends: np.ndarray
     run_id: np.ndarray
-    run_intervals: List[int]
-    run_of_interval: Dict[int, int]
+    run_intervals: np.ndarray
+    run_mixed: np.ndarray
     offer_sources: np.ndarray
-    reveal_intervals: List[int]
-    reveal_sources: List[int]
+    reveal_intervals: np.ndarray
+    reveal_sources: np.ndarray
+    reveal_run: np.ndarray
+    reveal_key: np.ndarray
     pos_in_offers: np.ndarray
 
 
-def _two_phase_precompute(plan: _TwoPhasePlan) -> Optional[_TwoPhaseVecPlan]:
-    """Lay out a two-phase plan for the vectorized replay kernel.
+def _two_phase_precompute(plan: _TwoPhasePlan) -> _TwoPhaseVecPlan:
+    """Lay out a two-phase plan for :func:`_replay_two_phase`.
 
-    Verifies the structural facts the kernel's exactness proof rests
-    on: each interval's gated offers form one contiguous slot run, runs
-    ascend, reveals arrive in non-decreasing interval order, and every
-    reveal of an interval lands after that interval's last offer (so
-    the bucket it matches against is frozen). Announce/reveal windows
-    guarantee all of this for generated plans; any violation falls
-    back to the reference loop rather than risking drift.
+    Verifies the structural facts the replay's exactness rests on: each
+    interval's gated offers form one contiguous slot run, runs ascend,
+    reveals arrive in non-decreasing interval order, and every reveal of
+    an interval lands after that interval's last offer (so the bucket it
+    matches against is frozen). The announce/reveal windows of every
+    plan :func:`_build_two_phase_plan` lays out guarantee all of this;
+    a violation is an internal error.
     """
     kinds = np.asarray(plan.kinds, dtype=np.int64)
     gate = np.asarray(plan.gate, dtype=bool)
@@ -1054,334 +924,270 @@ def _two_phase_precompute(plan: _TwoPhasePlan) -> Optional[_TwoPhaseVecPlan]:
     sources = np.asarray(plan.sources, dtype=np.int64)
     is_offer = kinds != _REVEAL
     offer_rows = np.nonzero(is_offer & gate)[0]
-    discard_rows = np.nonzero(is_offer & ~gate)[0]
     reveal_rows = np.nonzero(~is_offer)[0]
     offer_intervals = intervals[offer_rows]
-    if offer_intervals.size:
-        changes = np.nonzero(np.diff(offer_intervals))[0] + 1
-        run_starts = np.concatenate((np.zeros(1, dtype=np.int64), changes))
-        run_ends = (
-            np.concatenate(
-                (changes, np.array([offer_intervals.size], dtype=np.int64))
-            )
-            - 1
-        )
-        run_intervals_arr = offer_intervals[run_starts]
-        if np.any(np.diff(run_intervals_arr) <= 0):
-            return None  # an interval's offers split across runs
+    changes = np.nonzero(np.diff(offer_intervals))[0] + 1
+    if offer_rows.size:
+        run_starts = np.concatenate(([0], changes))
+        run_ends = np.concatenate((changes, [offer_rows.size])) - 1
     else:
-        run_starts = np.zeros(0, dtype=np.int64)
-        run_ends = np.zeros(0, dtype=np.int64)
-        run_intervals_arr = np.zeros(0, dtype=np.int64)
-    run_id = np.zeros(offer_intervals.size, dtype=np.int64)
-    if run_starts.size > 1:
-        run_id[run_starts[1:]] = 1
-        run_id = np.cumsum(run_id)
+        run_starts = run_ends = changes
+    run_intervals = offer_intervals[run_starts]
+    run_id = np.zeros(offer_rows.size, dtype=np.int64)
+    run_id[changes] = 1
+    run_id = np.cumsum(run_id)
     reveal_intervals = intervals[reveal_rows]
-    if np.any(np.diff(reveal_intervals) < 0):
-        return None  # out-of-order reveals break the stale-pop pointer
-    run_of_interval = {
-        int(v): idx for idx, v in enumerate(run_intervals_arr.tolist())
-    }
-    last_offer_row = offer_rows[run_ends] if run_ends.size else run_ends
-    for row, interval in zip(reveal_rows.tolist(), reveal_intervals.tolist()):
-        run = run_of_interval.get(interval)
-        if run is not None and row < int(last_offer_row[run]):
-            return None  # bucket not frozen at reveal time
+    reveal_sources = sources[reveal_rows]
+    run_pos = np.searchsorted(run_intervals, reveal_intervals)
+    has_run = run_pos < run_intervals.size
+    has_run[has_run] = run_intervals[run_pos[has_run]] == reveal_intervals[has_run]
+    reveal_run = np.where(has_run, run_pos, -1)
+    if (
+        np.any(np.diff(run_intervals) <= 0)
+        or np.any(np.diff(reveal_intervals) < 0)
+        or np.any(reveal_rows[has_run] < offer_rows[run_ends[reveal_run[has_run]]])
+    ):
+        raise SimulationError(
+            "two-phase plan violates the announce/reveal window layout"
+            " the fleet replay relies on"
+        )
+    span = int(reveal_sources.max(initial=0)) + 1
+    _keys, reveal_key = np.unique(
+        reveal_intervals * span + reveal_sources, return_inverse=True
+    )
     return _TwoPhaseVecPlan(
         offer_rows=offer_rows,
-        discard_rows=discard_rows,
+        discard_rows=np.nonzero(is_offer & ~gate)[0],
         reveal_rows=reveal_rows,
         run_starts=run_starts,
         run_ends=run_ends,
         run_id=run_id,
-        run_intervals=[int(v) for v in run_intervals_arr.tolist()],
-        run_of_interval=run_of_interval,
+        run_intervals=run_intervals,
+        run_mixed=mix_array(run_intervals.astype(np.uint64)),
         offer_sources=sources[offer_rows],
-        reveal_intervals=[int(v) for v in reveal_intervals.tolist()],
-        reveal_sources=[int(v) for v in sources[reveal_rows].tolist()],
-        pos_in_offers=np.searchsorted(offer_rows, reveal_rows).astype(np.int64),
+        reveal_intervals=reveal_intervals,
+        reveal_sources=reveal_sources,
+        reveal_run=reveal_run,
+        reveal_key=reveal_key.reshape(-1),
+        pos_in_offers=np.searchsorted(offer_rows, reveal_rows),
     )
 
 
-#: Receiver-block width for the vectorized replay — bounds the
+#: Receiver-block width for the two-phase replay — bounds the
 #: (offer-slots x receivers) rank/cumsum temporaries to a few MiB.
 _REPLAY_BLOCK = 8192
 
 
-def _replay_two_phase_vectorized(
+def _replay_two_phase(
     plan: _TwoPhasePlan,
-    pre: _TwoPhaseVecPlan,
     config: ScenarioConfig,
     start: int,
     seeds: Sequence[int],
     delivered: np.ndarray,
 ) -> _Counts:
-    """One-pass Algorithm-2 reservoir kernel over whole slot floods.
+    """Algorithm 2 over whole receiver blocks, in numpy.
 
-    Per receiver block, a segmented cumulative sum ranks every
-    delivered offer within its interval run. Ranks up to the buffer
-    capacity are free-slot fills (Algorithm 2 stores those
-    unconditionally), so the fill trajectory, bucket seen-counters,
-    stale-pop totals and peak-occupancy candidates all come out of
-    numpy at once. Only overflow offers — rank past capacity — touch
-    the per-receiver RNG: a tight scalar loop replays the ``m/k``
-    acceptance ``random()`` and the inlined ``randrange`` /
-    ``getrandbits`` victim draws for exactly those offers, in delivery
-    order, leaving every bucket byte-identical to the reference loop.
-    The short reveal pass then replays weak authentication, pops and
-    matching per receiver, batching μMAC collision fallbacks through
-    :meth:`~repro.crypto.mac.MicroMacScheme.compute_many`.
+    Every reservoir draw is a pure function of (receiver key, interval,
+    offer rank) (:mod:`repro.buffers.keyed`), so no receiver has to be
+    replayed offer by offer:
+
+    - a segmented cumulative sum ranks every delivered offer within its
+      interval run; ranks up to the capacity are free-slot fills;
+    - the overflow offers of all receivers draw at once, and each slot
+      ends up holding the *last* accepted offer that targeted it;
+    - delivered reveal intervals never decrease, so the weak-auth
+      lockout is a suffix of each receiver's reveals, a key's first
+      occurrence decides its outcome, and stale-interval pops are a
+      cumulative sum over runs. Peak occupancy is the maximum of the
+      fills before each reveal minus the pops before it, and of the
+      final fills minus the final pops.
+
+    Only the exact μMAC collision fallback (no surviving record carries
+    the reveal's MAC bytes, but the bucket is not empty) is a flat loop,
+    one :meth:`~repro.crypto.mac.MicroMacScheme.compute_many` batch per
+    receiver.
     """
+    pre = _two_phase_precompute(plan)
+    widest = max(int(pre.offer_rows.size), pre.run_intervals.size * config.buffers, 1)
+    block = min(_REPLAY_BLOCK, max(32, (8 << 20) // widest))
+    out: Tuple[List[int], ...] = ([], [], [], [], [], [], [], [])
+    for b0 in range(0, len(seeds), block):
+        b1 = min(b0 + block, len(seeds))
+        counts = _replay_two_phase_block(
+            plan, pre, config, start + b0, seeds[b0:b1], delivered[:, b0:b1]
+        )
+        for column, values in zip(out, counts):
+            column.extend(values)
+    return out  # type: ignore[return-value]
+
+
+def _replay_two_phase_block(
+    plan: _TwoPhasePlan,
+    pre: _TwoPhaseVecPlan,
+    config: ScenarioConfig,
+    start: int,
+    seeds: Sequence[int],
+    blk: np.ndarray,
+) -> Tuple[List[int], ...]:
+    """:func:`_replay_two_phase` for receivers ``[start, start + nb)``."""
+    capacity = config.buffers
+    nb = blk.shape[1]
+    n_runs = pre.run_intervals.size
+
+    # --- offers: ranks within runs, free-slot fills, overflow draws ---
+    d_off = blk[pre.offer_rows]
+    cum = np.cumsum(d_off, axis=0, dtype=np.int32)
+    before_run = np.zeros((n_runs, nb), dtype=np.int32)
+    before_run[1:] = cum[pre.run_starts[1:] - 1]
+    rank = cum - before_run[pre.run_id]
+    counts = cum[pre.run_ends] - before_run
+    held_len = np.minimum(counts, capacity)
+    fill = d_off & (rank <= capacity)
+    fills = np.zeros((pre.offer_rows.size + 1, nb), dtype=np.int32)
+    np.cumsum(fill, axis=0, out=fills[1:])
+    # fin[r, run, slot]: the source id in each buffer slot at the end.
+    fin = np.zeros((nb, n_runs, capacity), dtype=np.int64)
+    f_c, f_r = np.nonzero(fill)
+    fin[f_r, pre.run_id[f_c], rank[f_c, f_r] - 1] = pre.offer_sources[f_c]
+    if plan.reservoir:
+        # Offer-major order: within one (receiver, run) a later array
+        # position is a later offer, so the last accepted write to a
+        # slot is its last occurrence.
+        o_c, o_r = np.nonzero(d_off & ~fill)
+        bucket_keys = mix_array(
+            np.asarray(seeds, dtype=np.uint64)[:, None] ^ pre.run_mixed[None, :]
+        )
+        o_run = pre.run_id[o_c]
+        accepted, victims = replacement_slots(
+            bucket_keys[o_r, o_run], rank[o_c, o_r], capacity
+        )
+        slot = (o_r[accepted] * n_runs + o_run[accepted]) * capacity + victims
+        last, first_in_reverse = np.unique(slot[::-1], return_index=True)
+        fin.reshape(-1)[last] = pre.offer_sources[o_c[accepted]][::-1][
+            first_in_reverse
+        ]
+
+    # --- delivered reveals, receiver-major ---
+    v_r, v_c = np.nonzero(np.ascontiguousarray(blk[pre.reveal_rows].T))
+    n_occ = v_r.size
+    position = np.arange(n_occ)
+    interval = pre.reveal_intervals[v_c]
+    previous = np.zeros(n_occ, dtype=np.int64)
+    previous[1:] = interval[:-1]
+    first_of_receiver = np.ones(n_occ, dtype=bool)
+    first_of_receiver[1:] = v_r[1:] != v_r[:-1]
+    previous[first_of_receiver] = 0
+    # Weak auth: the first reveal past the gap bound locks the receiver
+    # out for good (its trusted key stops advancing while intervals do).
+    lockout = np.full(nb, n_occ, dtype=np.int64)
+    over_gap = interval - previous > protocol_base.MAX_KEY_GAP
+    np.minimum.at(lockout, v_r[over_gap], position[over_gap])
+    weak = position >= lockout[v_r]
+    # Stale pops: a passing reveal of interval i frees every run older
+    # than i - 1, so the pops before an occurrence follow from the last
+    # passing interval before it.
+    popped = np.zeros((n_runs + 1, nb), dtype=np.int32)
+    np.cumsum(held_len, axis=0, out=popped[1:])
+    last_passing = previous[np.minimum(position, lockout[v_r])]
+    stored = (
+        fills[pre.pos_in_offers[v_c], v_r]
+        - popped[np.searchsorted(pre.run_intervals, last_passing - 1), v_r]
+    )
+    per_receiver = np.bincount(v_r, minlength=nb)
+    ends = np.cumsum(per_receiver)
+    final = np.minimum(ends, lockout) - 1
+    padded = np.concatenate(([0], interval))
+    final_interval = padded[np.where(final >= ends - per_receiver, final + 1, 0)]
+    peak = (
+        fills[-1]
+        - popped[np.searchsorted(pre.run_intervals, final_interval - 1), np.arange(nb)]
+    )
+    np.maximum.at(peak, v_r, stored)
+
+    # --- strong auth: containment, collision fallback, first occurrence ---
+    key = v_r * (int(pre.reveal_key.max(initial=0)) + 1) + pre.reveal_key[v_c]
+    _keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    first_column = v_c[first]
+    run = pre.reveal_run[first_column]
+    r = v_r[first]
+    source = pre.reveal_sources[first_column]
+    if n_runs:
+        run0 = np.maximum(run, 0)
+        held = held_len[run0, r] * (run >= 0)
+        contains = (
+            (fin[r, run0, :] == source[:, None])
+            & (np.arange(capacity) < held[:, None])
+        ).any(axis=1)
+    else:
+        held = np.zeros(first.size, dtype=np.int32)
+        contains = np.zeros(first.size, dtype=bool)
+    matched = contains
+    fallback = np.nonzero(~contains & (held > 0) & ~weak[first])[0]
+    if fallback.size:
+        matched = contains.copy()
+        matched[fallback] = _collision_matches(
+            plan,
+            config,
+            start,
+            r[fallback],
+            pre.reveal_intervals[first_column[fallback]],
+            source[fallback],
+            [fin[i, j, :h] for i, j, h in zip(r[fallback], run[fallback], held[fallback])],
+        )
+    occ_matched = matched[inverse.reshape(-1)]
+    first_mask = np.zeros(n_occ, dtype=bool)
+    first_mask[first] = True
+    passing = ~weak
+    return (
+        np.bincount(v_r[passing & occ_matched & first_mask], minlength=nb).tolist(),
+        np.bincount(v_r[passing & ~occ_matched], minlength=nb).tolist(),
+        [0] * nb,
+        np.bincount(v_r[weak], minlength=nb).tolist(),
+        blk[pre.discard_rows].sum(axis=0, dtype=np.int64).tolist(),
+        [0] * nb,
+        blk.sum(axis=0, dtype=np.int64).tolist(),
+        (peak.astype(np.int64) * plan.item_bits).tolist(),
+    )
+
+
+def _collision_matches(
+    plan: _TwoPhasePlan,
+    config: ScenarioConfig,
+    start: int,
+    receivers: np.ndarray,
+    intervals: np.ndarray,
+    sources: np.ndarray,
+    held: List[np.ndarray],
+) -> List[bool]:
+    """Whether a held record's μMAC equals the reveal's anyway.
+
+    For reveals whose MAC bytes no surviving record carries: the DES
+    compares actual μMACs, so a 24-bit collision authenticates there and
+    must here too. One batch per receiver (its local key).
+    """
+    micro = MicroMacScheme(plan.item_bits - INDEX_BITS)
     announce_macs = plan.announce_macs
     forged_macs = plan.forged_macs
-    reservoir = plan.reservoir
-    item_bits = plan.item_bits
-    micro = MicroMacScheme(item_bits - INDEX_BITS)
-    capacity = config.buffers
-    kbits = capacity.bit_length()
-
-    offer_rows = pre.offer_rows
-    run_starts = pre.run_starts
-    run_ends = pre.run_ends
-    run_id = pre.run_id
-    run_intervals = pre.run_intervals
-    offer_sources = pre.offer_sources
-    reveal_intervals = pre.reveal_intervals
-    reveal_sources = pre.reveal_sources
-    n_runs = int(run_starts.size)
-    #: overflow events dedup to one surviving write per (run, victim);
-    #: packing both into one int keys the per-receiver dict cheaply.
-    rk_base = run_id * capacity
-    reveal_run = np.array(
-        [pre.run_of_interval.get(i, -1) for i in reveal_intervals],
-        dtype=np.int64,
-    )
-    reveal_src_arr = np.asarray(reveal_sources, dtype=np.int64)
-    slot_cols = np.arange(capacity)
-
-    total = len(seeds)
-    out: Tuple[List[int], ...] = ([], [], [], [], [], [], [], [])
-    (auth_c, lost_c, rejf_c, weak_c, disc_c, facc_c, recv_c, peak_c) = out
-    # Bound the largest per-block temporaries (the rank cumsums over
-    # offer slots and the bucket tensor over runs x capacity) to a few
-    # dozen MiB regardless of how long the scenario runs.
-    widest = max(int(offer_rows.size), n_runs * capacity, 1)
-    block = min(_REPLAY_BLOCK, max(32, (8 << 20) // widest))
-    for b0 in range(0, total, block):
-        b1 = min(b0 + block, total)
-        nb = b1 - b0
-        blk = delivered[:, b0:b1]
-        n_recv_l = blk.sum(axis=0, dtype=np.int64).tolist()
-        if pre.discard_rows.size:
-            n_disc_l = blk[pre.discard_rows].sum(axis=0, dtype=np.int64).tolist()
-        else:
-            n_disc_l = [0] * nb
-        if offer_rows.size:
-            d_off = blk[offer_rows]
-        else:
-            d_off = np.zeros((0, nb), dtype=bool)
-        cum = np.cumsum(d_off, axis=0, dtype=np.int32)
-        base = np.zeros((n_runs, nb), dtype=np.int32)
-        if n_runs > 1:
-            base[1:] = cum[run_starts[1:] - 1]
-        if n_runs:
-            rank = cum - base[run_id]
-            counts = cum[run_ends] - base
-        else:
-            rank = cum
-            counts = base
-        held_len = np.minimum(counts, capacity)
-        stored_m = d_off & (rank <= capacity)
-        sc = np.cumsum(stored_m, axis=0, dtype=np.int32)
-        sc_pad = np.vstack((np.zeros((1, nb), dtype=np.int32), sc))
-        total_fills_l = sc_pad[-1].tolist()
-
-        # --- overflow offers, receiver-major: the only RNG draws ---
-        # (transposing first makes np.nonzero group by receiver, in
-        # offer order — exactly the draw order of the reference loop)
-        if reservoir and offer_rows.size:
-            over_t = np.ascontiguousarray((d_off & ~stored_m).T)
-            ov_r, ov_c = np.nonzero(over_t)
-            ov_split = np.searchsorted(ov_r, np.arange(nb + 1)).tolist()
-            # m/k acceptance thresholds; int64 -> float64 division is
-            # bit-identical to the reference's Python capacity / seen.
-            thr_all = (capacity / rank[ov_c, ov_r]).tolist()
-            rkb_all = rk_base[ov_c].tolist()
-            src_all = offer_sources[ov_c].tolist()
-        else:
-            ov_split = [0] * (nb + 1)
-            thr_all = rkb_all = src_all = []
-        ev_rcv: List[int] = []
-        ev_key: List[int] = []
-        ev_src: List[int] = []
-        for local in range(nb):
-            o0 = ov_split[local]
-            o1 = ov_split[local + 1]
-            if o0 == o1:
-                continue
-            rng_r = traced_rng(
-                random.Random(seeds[b0 + local]),
-                f"receiver-{start + b0 + local}",
+    matched: List[bool] = []
+    items = zip(receivers.tolist(), intervals.tolist(), sources.tolist(), held)
+    for receiver, group in groupby(items, key=lambda item: item[0]):
+        misses = [(interval, source, slots.tolist()) for _r, interval, source, slots in group]
+        batch: List[bytes] = []
+        for interval, source, slots in misses:
+            batch.append(announce_macs[(interval, source)])
+            batch.extend(
+                announce_macs[(interval, slot)] if slot >= 0 else forged_macs[-1 - slot]
+                for slot in slots
             )
-            rand = rng_r.random
-            getrandbits = rng_r.getrandbits
-            evmap: Dict[int, int] = {}
-            for thr, rkb, src in zip(
-                thr_all[o0:o1], rkb_all[o0:o1], src_all[o0:o1]
-            ):
-                # Keep copy k with probability m/k; the victim draw
-                # inlines CPython randrange's getrandbits rejection
-                # loop (stream-identical to the reference).
-                if rand() < thr:
-                    victim = getrandbits(kbits)
-                    while victim >= capacity:
-                        victim = getrandbits(kbits)
-                    evmap[rkb + victim] = src
-            if evmap:
-                ev_rcv.extend([local] * len(evmap))
-                ev_key.extend(evmap.keys())
-                ev_src.extend(evmap.values())
-
-        # --- final buckets: one scatter of fills + one of survivors ---
-        fin = np.zeros((nb, n_runs, capacity), dtype=np.int64)
-        if offer_rows.size:
-            stored_t = np.ascontiguousarray(stored_m.T)
-            st_r, st_c = np.nonzero(stored_t)
-            if st_r.size:
-                fin[st_r, run_id[st_c], rank[st_c, st_r] - 1] = offer_sources[
-                    st_c
-                ]
-        if ev_key:
-            keys = np.asarray(ev_key, dtype=np.int64)
-            fin[
-                np.asarray(ev_rcv, dtype=np.int64),
-                keys // capacity,
-                keys % capacity,
-            ] = np.asarray(ev_src, dtype=np.int64)
-
-        # --- reveal occurrences, vectorized containment test ---
-        if pre.reveal_rows.size:
-            d_rev_t = np.ascontiguousarray(blk[pre.reveal_rows].T)
-            rv_r, rv_c = np.nonzero(d_rev_t)
-            rv_split = np.searchsorted(rv_r, np.arange(nb + 1)).tolist()
-            rv_cols = rv_c.tolist()
-            fb_l = sc_pad[pre.pos_in_offers[rv_c], rv_r].tolist()
-            if n_runs and rv_r.size:
-                rfo = reveal_run[rv_c]
-                valid = rfo >= 0
-                rfo0 = np.where(valid, rfo, 0)
-                has_b = valid & (counts[rfo0, rv_r] > 0)
-                hl_occ = held_len[rfo0, rv_r]
-                contains = (
-                    (fin[rv_r, rfo0, :] == reveal_src_arr[rv_c, None])
-                    & (slot_cols[None, :] < hl_occ[:, None])
-                ).any(axis=1) & has_b
-                cont_l = contains.tolist()
-                hasb_l = has_b.tolist()
-                run_l = rfo.tolist()
-                hl_l = hl_occ.tolist()
-            else:
-                cont_l = hasb_l = [False] * len(rv_cols)
-                run_l = [-1] * len(rv_cols)
-                hl_l = [0] * len(rv_cols)
-        else:
-            rv_split = [0] * (nb + 1)
-            rv_cols = fb_l = run_l = hl_l = []
-            cont_l = hasb_l = []
-        hl_cum_t = (
-            np.ascontiguousarray(np.cumsum(held_len, axis=0, dtype=np.int32).T)
-            if n_runs
-            else np.zeros((nb, 0), dtype=np.int32)
+        digests = micro.compute_many(
+            _seed_bytes(config, f"local-{start + receiver}"), batch
         )
-
-        # --- reveal pass: weak auth, stale pops, record matching ---
-        for local in range(nb):
-            n_auth = n_lost = n_weak = 0
-            trusted = 0
-            peak = 0
-            popped = 0
-            ptr = 0
-            decided: Dict[Tuple[int, int], bool] = {}
-            local_key = b""
-            hl_cum_row = hl_cum_t[local]
-            v0 = rv_split[local]
-            v1 = rv_split[local + 1]
-            for j, fb, cont, hasb, run, hl in zip(
-                rv_cols[v0:v1],
-                fb_l[v0:v1],
-                cont_l[v0:v1],
-                hasb_l[v0:v1],
-                run_l[v0:v1],
-                hl_l[v0:v1],
-            ):
-                interval = reveal_intervals[j]
-                source = reveal_sources[j]
-                key = (interval, source)
-                prior = decided.get(key)
-                if prior is True:
-                    continue
-                if interval > trusted:
-                    if interval - trusted > MAX_KEY_GAP:
-                        n_weak += 1
-                        continue
-                    trusted = interval
-                # Buffer occupancy right now — evaluated before the
-                # pops below, so together with the end-of-run candidate
-                # it covers every point where the reference's
-                # append-time peak can land.
-                stored_now = fb - popped
-                if stored_now > peak:
-                    peak = stored_now
-                cutoff = interval - 1
-                if ptr < n_runs and run_intervals[ptr] < cutoff:
-                    while ptr < n_runs and run_intervals[ptr] < cutoff:
-                        ptr += 1
-                    popped = int(hl_cum_row[ptr - 1])
-                if prior is None:
-                    if cont:
-                        matched = True
-                    elif hasb:
-                        # No surviving record shares this reveal's MAC
-                        # bytes — decide by actual μMAC equality so
-                        # 24-bit collisions authenticate exactly as in
-                        # the DES, one batch per miss.
-                        if not local_key:
-                            local_key = _seed_bytes(
-                                config, f"local-{start + b0 + local}"
-                            )
-                        held = fin[local, run, :hl].tolist()
-                        batch = [announce_macs[key]]
-                        for slot in held:
-                            batch.append(
-                                announce_macs[(interval, slot)]
-                                if slot >= 0
-                                else forged_macs[-1 - slot]
-                            )
-                        digests = micro.compute_many(local_key, batch)
-                        expected = digests[0]
-                        matched = any(d == expected for d in digests[1:])
-                    else:
-                        matched = False
-                    decided[key] = matched
-                else:
-                    matched = False
-                if matched:
-                    n_auth += 1
-                else:
-                    n_lost += 1
-            end_stored = total_fills_l[local] - popped
-            if end_stored > peak:
-                peak = end_stored
-            auth_c.append(n_auth)
-            lost_c.append(n_lost)
-            rejf_c.append(0)
-            weak_c.append(n_weak)
-            disc_c.append(n_disc_l[local])
-            facc_c.append(0)
-            recv_c.append(n_recv_l[local])
-            peak_c.append(peak * item_bits)
-    return out  # type: ignore[return-value]
+        offset = 0
+        for _interval, _source, slots in misses:
+            expected = digests[offset]
+            matched.append(expected in digests[offset + 1 : offset + 1 + len(slots)])
+            offset += 1 + len(slots)
+    return matched
 
 
 def _replay_single_level(
@@ -1397,6 +1203,7 @@ def _replay_single_level(
     disc_index = plan.disc_index
     disc_anchors = plan.disc_anchors
     capacity = config.buffers
+    max_gap = protocol_base.MAX_KEY_GAP
 
     out: Tuple[List[int], ...] = ([], [], [], [], [], [], [], [])
     (auth_c, lost_c, rejf_c, weak_c, disc_c, facc_c, recv_c, peak_c) = out
@@ -1432,7 +1239,7 @@ def _replay_single_level(
             if di < 1:
                 continue
             anchors = disc_anchors[b]
-            if di < trusted or di - trusted > MAX_KEY_GAP:
+            if di < trusted or di - trusted > max_gap:
                 n_weak += 1
                 continue
             if anchors is not None:
@@ -1505,9 +1312,8 @@ def _replay_multilevel(
     out: Tuple[List[int], ...] = ([], [], [], [], [], [], [], [])
     (auth_c, lost_c, rejf_c, weak_c, disc_c, facc_c, recv_c, peak_c) = out
     for local, seed in enumerate(seeds):
-        rng_r = traced_rng(random.Random(seed), f"receiver-{start + local}")
-        rand = rng_r.random
-        randrange = rng_r.randrange
+        cdm_key = seed ^ CDM_POOL
+        data_key = seed ^ DATA_POOL
         delivered_slots = np.nonzero(delivered[:, local])[0].tolist()
 
         high_trusted = 0
@@ -1518,8 +1324,10 @@ def _replay_multilevel(
         chains_seen: Set[int] = {1}
         trusted_sub: Dict[int, int] = {1: 0}
         pending: Dict[int, Set[int]] = {}
-        # high -> [seen, held entries]; entry is -1 (authentic CDM) or a
-        # forged id. flat -> [seen, held source ids] for data records.
+        # high -> [seen, held entries, draw key]; entry is -1 (authentic
+        # CDM) or a forged id. flat -> [seen, held source ids, draw key]
+        # for data records. A bucket's draw key is computed on its first
+        # overflow.
         cdm_buckets: Dict[int, List[Any]] = {}
         data_buckets: Dict[int, List[Any]] = {}
         cdm_stored = cdm_peak = 0
@@ -1632,7 +1440,7 @@ def _replay_multilevel(
                     if not accepted and gate[b]:
                         bucket = cdm_buckets.get(high)
                         if bucket is None:
-                            bucket = [0, []]
+                            bucket = [0, [], None]
                             cdm_buckets[high] = bucket
                         bucket[0] += 1
                         held = bucket[1]
@@ -1642,8 +1450,17 @@ def _replay_multilevel(
                             cdm_stored += 1
                             if cdm_stored > cdm_peak:
                                 cdm_peak = cdm_stored
-                        elif rand() < cdm_capacity / bucket[0]:
-                            held[randrange(cdm_capacity)] = entry
+                        else:
+                            # Algorithm 2 under the keyed draws of
+                            # keyed.replacement_slot, inlined.
+                            k = bucket[0]
+                            bkey = bucket[2]
+                            if bkey is None:
+                                bkey = bucket[2] = buffer_key(cdm_key, high)
+                            u = mix((bkey + (k << 1) * GAMMA) & MASK)
+                            if (u >> 11) * UNIT < cdm_capacity / k:
+                                u = mix((bkey + ((k << 1) | 1) * GAMMA) & MASK)
+                                held[int((u >> 11) * UNIT * cdm_capacity)] = entry
                 if forged_id < 0 and disc_index[b] >= 1:
                     handle_high_disclosure(disc_index[b])
             elif kind == _DATA:
@@ -1655,7 +1472,7 @@ def _replay_multilevel(
                     continue
                 bucket = data_buckets.get(flat)
                 if bucket is None:
-                    bucket = [0, []]
+                    bucket = [0, [], None]
                     data_buckets[flat] = bucket
                 bucket[0] += 1
                 held = bucket[1]
@@ -1664,9 +1481,20 @@ def _replay_multilevel(
                     data_stored += 1
                     if data_stored > data_peak:
                         data_peak = data_stored
-                elif rand() < data_capacity / bucket[0]:
-                    held[randrange(data_capacity)] = sources[b]
-                flush_chain(chain, counted=True)
+                else:
+                    k = bucket[0]
+                    bkey = bucket[2]
+                    if bkey is None:
+                        bkey = bucket[2] = buffer_key(data_key, flat)
+                    u = mix((bkey + (k << 1) * GAMMA) & MASK)
+                    if (u >> 11) * UNIT < data_capacity / k:
+                        u = mix((bkey + ((k << 1) | 1) * GAMMA) & MASK)
+                        held[int((u >> 11) * UNIT * data_capacity)] = sources[b]
+                # Every other bucket inside the chain's trusted range was
+                # flushed when the range last grew, so only this record's
+                # own sub-interval can be flushable now.
+                if (flat - 1) % lph + 1 <= trusted_sub.get(chain, 0):
+                    flush_chain(chain, counted=True)
             else:  # _DISC
                 flat = index[b]
                 chain = (flat - 1) // lph + 1

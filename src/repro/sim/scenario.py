@@ -263,8 +263,8 @@ def build_two_phase_protocol(
 
     Returns ``(sender, receivers, factory, authentic_copies,
     sent_authentic)`` with bare protocol receivers (not yet bound to any
-    medium). The per-receiver RNG seeds are drawn from ``rng`` in
-    receiver order — both the discrete-event simulator and the live
+    medium). The per-receiver reservoir draw keys are drawn from ``rng``
+    in receiver order — both the discrete-event simulator and the live
     testbed (:mod:`repro.net.harness`) build through here, which is what
     makes a loopback soak reproduce an in-memory run decision-for-
     decision at the same seed.
@@ -294,9 +294,7 @@ def build_two_phase_protocol(
                 buffers=config.buffers,
                 function=function,
                 walk_cache=walk_cache,
-                rng=traced_rng(
-                    random.Random(rng.getrandbits(64)), f"receiver-{i}"
-                ),
+                draw_key=rng.getrandbits(64),
             )
         )
     factory = announce_forgery_factory()
@@ -378,7 +376,7 @@ def _build_single_level(
             buffer_capacity=config.buffers,
             function=function,
             walk_cache=walk_cache,
-            rng=traced_rng(random.Random(rng.getrandbits(64)), f"receiver-{i}"),
+            draw_key=rng.getrandbits(64),
         )
         node = ReceiverNode(f"recv-{i}", simulator, receiver)
         node.attach(medium, _link_for(config))
@@ -422,7 +420,7 @@ def _build_multilevel(
             sync=sync,
             params=params,
             cdm_buffers=config.buffers,
-            rng=traced_rng(random.Random(rng.getrandbits(64)), f"receiver-{i}"),
+            draw_key=rng.getrandbits(64),
         )
         receiver.bootstrap_commitment(1, sender.chain.low_commitment(1))
         node = ReceiverNode(f"recv-{i}", simulator, receiver)

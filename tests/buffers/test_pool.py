@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.buffers.pool import IndexedBufferPool
 from repro.errors import BufferError_, ConfigurationError
 
 
+#: Draw key of the pools under test.
+KEY = 12345
+
+
 @pytest.fixture
-def pool(rng):
-    return IndexedBufferPool(per_index_capacity=2, item_bits=56, rng=rng)
+def pool():
+    return IndexedBufferPool(per_index_capacity=2, item_bits=56, draw_key=KEY)
 
 
 class TestOfferAndRelease:
@@ -85,35 +87,35 @@ class TestMemoryAccounting:
 
 
 class TestIndexBound:
-    def test_max_indices_blocks_new_intervals(self, rng):
-        pool = IndexedBufferPool(2, max_indices=2, item_bits=1, rng=rng)
+    def test_max_indices_blocks_new_intervals(self):
+        pool = IndexedBufferPool(2, max_indices=2, item_bits=1, draw_key=KEY)
         assert pool.offer(1, "a").stored
         assert pool.offer(2, "b").stored
         assert not pool.offer(3, "c").stored
         assert pool.rejected_no_room == 1
 
-    def test_existing_intervals_still_accept(self, rng):
-        pool = IndexedBufferPool(2, max_indices=1, item_bits=1, rng=rng)
+    def test_existing_intervals_still_accept(self):
+        pool = IndexedBufferPool(2, max_indices=1, item_bits=1, draw_key=KEY)
         pool.offer(1, "a")
         assert pool.offer(1, "b").stored
 
-    def test_release_frees_slots(self, rng):
-        pool = IndexedBufferPool(1, max_indices=1, item_bits=1, rng=rng)
+    def test_release_frees_slots(self):
+        pool = IndexedBufferPool(1, max_indices=1, item_bits=1, draw_key=KEY)
         pool.offer(1, "a")
         pool.release(1)
         assert pool.offer(2, "b").stored
 
 
 class TestStrategies:
-    def test_keep_first_strategy(self, rng):
-        pool = IndexedBufferPool(2, item_bits=1, strategy="keep_first", rng=rng)
+    def test_keep_first_strategy(self):
+        pool = IndexedBufferPool(2, item_bits=1, strategy="keep_first", draw_key=KEY)
         for i in range(10):
             pool.offer(1, i)
         assert pool.items(1) == [0, 1]
 
     def test_reservoir_strategy_replaces(self):
         pool = IndexedBufferPool(
-            1, item_bits=1, strategy="reservoir", rng=random.Random(3)
+            1, item_bits=1, strategy="reservoir", draw_key=3
         )
         for i in range(200):
             pool.offer(1, i)
@@ -130,8 +132,8 @@ class TestRetainProbability:
         pool.offer(1, "a")
         assert pool.retain_probability(1) == 1.0
 
-    def test_m_over_k_when_saturated(self, rng):
-        pool = IndexedBufferPool(2, item_bits=1, rng=rng)
+    def test_m_over_k_when_saturated(self):
+        pool = IndexedBufferPool(2, item_bits=1, draw_key=KEY)
         for i in range(4):
             pool.offer(1, i)
         assert pool.retain_probability(1) == pytest.approx(2 / 5)
@@ -149,3 +151,15 @@ class TestValidation:
     def test_bad_item_bits(self):
         with pytest.raises(ConfigurationError):
             IndexedBufferPool(1, item_bits=0)
+
+
+class TestDrawKeys:
+    def test_contents_follow_from_the_key(self):
+        def run(key):
+            pool = IndexedBufferPool(2, item_bits=1, draw_key=key)
+            for i in range(60):
+                pool.offer(1 + i % 3, i)
+            return [pool.items(index) for index in (1, 2, 3)]
+
+        assert run(7) == run(7)
+        assert run(7) != run(8)

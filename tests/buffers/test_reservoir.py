@@ -19,26 +19,26 @@ from repro.errors import ConfigurationError
 
 class TestReservoirBasics:
     def test_fills_empty_slots_first(self):
-        buf = ReservoirBuffer(3, rng=random.Random(0))
+        buf = ReservoirBuffer(3, draw_key=0)
         for i in range(3):
             result = buf.offer(i)
             assert result.outcome is OfferOutcome.STORED_EMPTY
         assert len(buf) == 3
 
     def test_never_exceeds_capacity(self):
-        buf = ReservoirBuffer(4, rng=random.Random(0))
+        buf = ReservoirBuffer(4, draw_key=0)
         for i in range(100):
             buf.offer(i)
         assert len(buf) == 4
 
     def test_seen_count_tracks_offers(self):
-        buf = ReservoirBuffer(2, rng=random.Random(0))
+        buf = ReservoirBuffer(2, draw_key=0)
         for i in range(7):
             buf.offer(i)
         assert buf.seen_count == 7
 
     def test_replacement_reports_evicted(self):
-        buf = ReservoirBuffer(1, rng=random.Random(1))
+        buf = ReservoirBuffer(1, draw_key=1)
         buf.offer("a")
         while True:
             result = buf.offer("b")
@@ -47,14 +47,14 @@ class TestReservoirBasics:
                 break
 
     def test_rejection_has_no_eviction(self):
-        buf = ReservoirBuffer(1, rng=random.Random(0))
+        buf = ReservoirBuffer(1, draw_key=0)
         buf.offer("a")
         rejected = [r for r in (buf.offer("b") for _ in range(50)) if not r.stored]
         assert rejected
         assert all(r.evicted is None for r in rejected)
 
     def test_clear_resets(self):
-        buf = ReservoirBuffer(2, rng=random.Random(0))
+        buf = ReservoirBuffer(2, draw_key=0)
         for i in range(5):
             buf.offer(i)
         buf.clear()
@@ -62,13 +62,13 @@ class TestReservoirBasics:
         assert buf.seen_count == 0
 
     def test_contains_and_iter(self):
-        buf = ReservoirBuffer(3, rng=random.Random(0))
+        buf = ReservoirBuffer(3, draw_key=0)
         buf.offer("x")
         assert "x" in buf
         assert list(buf) == ["x"]
 
     def test_items_snapshot_is_copy(self):
-        buf = ReservoirBuffer(3, rng=random.Random(0))
+        buf = ReservoirBuffer(3, draw_key=0)
         buf.offer("x")
         items = buf.items
         items.append("y")
@@ -85,7 +85,7 @@ class TestReservoirStatistics:
         m, n, trials = 3, 12, 4000
         hits = Counter()
         for trial in range(trials):
-            buf = ReservoirBuffer(m, rng=random.Random(trial))
+            buf = ReservoirBuffer(m, draw_key=trial)
             for i in range(n):
                 buf.offer(i)
             for item in buf:
@@ -101,7 +101,7 @@ class TestReservoirStatistics:
         total = forged + 4  # 4 authentic copies: p = 0.9
         survived = 0
         for trial in range(trials):
-            buf = ReservoirBuffer(m, rng=random.Random(trial))
+            buf = ReservoirBuffer(m, draw_key=trial)
             items = ["f"] * forged + ["a"] * 4
             random.Random(trial + 10 ** 6).shuffle(items)
             for item in items:
@@ -119,11 +119,11 @@ class TestReservoirStatistics:
         m, trials = 2, 3000
         survived_front = survived_back = 0
         for trial in range(trials):
-            front = ReservoirBuffer(m, rng=random.Random(trial))
+            front = ReservoirBuffer(m, draw_key=trial)
             for item in ["f"] * 8 + ["a"] * 2:
                 front.offer(item)
             survived_front += "a" in front
-            back = ReservoirBuffer(m, rng=random.Random(trial + 10 ** 6))
+            back = ReservoirBuffer(m, draw_key=trial + 10 ** 6)
             for item in ["a"] * 2 + ["f"] * 8:
                 back.offer(item)
             survived_back += "a" in back
@@ -138,7 +138,7 @@ class TestReservoirStatistics:
     )
     @settings(max_examples=60)
     def test_size_invariant(self, capacity, offers, seed):
-        buf = ReservoirBuffer(capacity, rng=random.Random(seed))
+        buf = ReservoirBuffer(capacity, draw_key=seed)
         for i in range(offers):
             buf.offer(i)
         assert len(buf) == min(capacity, offers)
@@ -151,7 +151,7 @@ class TestReservoirStatistics:
     )
     @settings(max_examples=60)
     def test_contents_are_subset_of_offers(self, capacity, items, seed):
-        buf = ReservoirBuffer(capacity, rng=random.Random(seed))
+        buf = ReservoirBuffer(capacity, draw_key=seed)
         for item in items:
             buf.offer(item)
         for held in buf:
@@ -185,50 +185,37 @@ class TestKeepFirstBuffer:
         assert buf.seen_count == 5
 
 
-class _SubclassedRandom(random.Random):
-    """Forces offer_many onto its generic (randrange-based) branch."""
-
-
 class TestOfferMany:
-    """offer_many must be state- and draw-identical to per-item offer."""
+    """offer_many must be state-identical to per-item offer."""
 
     @given(
         capacity=st.integers(min_value=1, max_value=8),
         offers=st.integers(min_value=0, max_value=200),
-        seed=st.integers(min_value=0, max_value=2**31),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
     )
     @settings(max_examples=40, deadline=None)
-    def test_draw_identical_to_sequential_offers(self, capacity, offers, seed):
-        sequential = ReservoirBuffer(capacity, rng=random.Random(seed))
+    def test_state_identical_to_sequential_offers(self, capacity, offers, seed):
+        sequential = ReservoirBuffer(capacity, draw_key=seed)
         stored_seq = 0
         for item in range(offers):
             if sequential.offer(item).stored:
                 stored_seq += 1
-        batched = ReservoirBuffer(capacity, rng=random.Random(seed))
+        batched = ReservoirBuffer(capacity, draw_key=seed)
         stored_many = batched.offer_many(range(offers))
         assert batched.items == sequential.items
         assert batched.seen_count == sequential.seen_count
         assert stored_many == stored_seq
-        # The RNG streams advanced identically: the *next* draw agrees.
-        assert batched._rng.random() == sequential._rng.random()
-
-    def test_generic_rng_branch_is_also_draw_identical(self):
-        """A Random subclass skips the inlined getrandbits fast path;
-        the randrange fallback must consume the identical stream."""
-        for seed in (7, 11, 23):
-            fast = ReservoirBuffer(3, rng=random.Random(seed))
-            generic = ReservoirBuffer(3, rng=_SubclassedRandom(seed))
-            fast.offer_many(range(100))
-            generic.offer_many(range(100))
-            assert fast.items == generic.items
-            assert fast.seen_count == generic.seen_count
-            assert fast._rng.random() == generic._rng.random()
+        # Both continue identically: the next offers land alike.
+        assert batched.offer_many(range(offers, offers + 50)) == sum(
+            sequential.offer(item).stored for item in range(offers, offers + 50)
+        )
+        assert batched.items == sequential.items
 
     def test_resumes_mid_stream(self):
         """Mixing offer and offer_many on one buffer stays identical to
         a pure offer sequence."""
-        mixed = ReservoirBuffer(2, rng=random.Random(5))
-        pure = ReservoirBuffer(2, rng=random.Random(5))
+        mixed = ReservoirBuffer(2, draw_key=5)
+        pure = ReservoirBuffer(2, draw_key=5)
         for item in range(10):
             mixed.offer(item)
             pure.offer(item)
@@ -245,6 +232,6 @@ class TestOfferMany:
         assert buf.seen_count == 10
 
     def test_empty_iterable(self):
-        buf = ReservoirBuffer(2, rng=random.Random(1))
+        buf = ReservoirBuffer(2, draw_key=1)
         assert buf.offer_many([]) == 0
         assert buf.seen_count == 0

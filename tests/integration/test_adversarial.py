@@ -78,7 +78,7 @@ class TestDapFuzzing:
         sender = DapSender(SEED, 12, announce_copies=3)
         receiver = DapReceiver(
             sender.chain.commitment, make_condition(), LOCAL, buffers=8,
-            rng=random.Random(1),
+            draw_key=1,
         )
         rng = random.Random(7)
         for interval in range(1, 11):

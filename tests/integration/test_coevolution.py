@@ -27,6 +27,9 @@ from repro.timesync.sync import LooseTimeSync, SecurityCondition
 SEED = b"coevolution-seed"
 INTERVALS = 120
 
+#: Seeds the attack-level tracking error is averaged over.
+TRACKING_SEEDS = tuple(range(1, 11))
+
 
 def run_coevolution(m_game: int, seed: int = 5):
     """Both sides play the m = ``m_game`` game for INTERVALS epochs."""
@@ -39,7 +42,7 @@ def run_coevolution(m_game: int, seed: int = 5):
 
     receiver = DapReceiver(
         sender.chain.commitment, condition, b"local", buffers=m_game,
-        rng=random.Random(seed + 1),
+        draw_key=seed + 1,
     )
     policy = AdaptiveDefense(
         paper_parameters(p=0.5, m=1), AttackEstimator(alpha=0.25, initial=0.5)
@@ -76,12 +79,18 @@ class TestCoevolution:
 
     def test_defenders_track_the_attackers_intensity(self):
         """The fleet's estimate settles near the effective attack level:
-        the attacker floods at p=0.8 a fraction Y' of the time."""
-        _params, node, attacker, _receiver = run_coevolution(m_game=14)
-        attack_rate = sum(attacker.attack_decisions) / len(attacker.attack_decisions)
-        effective_p = 0.8 * attack_rate  # expected forged share over time
-        final_estimate = node.history[-1].estimated_p
-        assert final_estimate == pytest.approx(effective_p, abs=0.2)
+        the attacker floods at p=0.8 a fraction Y' of the time. One run's
+        final estimate is a noisy EWMA sample, so the bound holds on the
+        mean error over a fixed seed set."""
+        errors = []
+        for seed in TRACKING_SEEDS:
+            _params, node, attacker, _receiver = run_coevolution(m_game=14, seed=seed)
+            attack_rate = sum(attacker.attack_decisions) / len(
+                attacker.attack_decisions
+            )
+            effective_p = 0.8 * attack_rate  # expected forged share over time
+            errors.append(abs(node.history[-1].estimated_p - effective_p))
+        assert sum(errors) / len(errors) <= 0.2
 
     def test_intermittent_attacker_costs_less_than_constant(self):
         """The game's behavioural prediction: a rational attacker at the

@@ -28,7 +28,7 @@ class TestBoundedState:
         sender = DapSender(SEED, 501, announce_copies=3)
         receiver = DapReceiver(
             sender.chain.commitment, condition, b"local", buffers=4,
-            rng=random.Random(1),
+            draw_key=1,
         )
         rng = random.Random(2)
         high_water = []

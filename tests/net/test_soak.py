@@ -25,6 +25,9 @@ FLOOD = dict(
     seed=11,
 )
 
+#: Seeds the flood-defence rate is averaged over.
+FLOOD_SEEDS = tuple(range(1, 13))
+
 
 class TestSimulationParity:
     @pytest.mark.parametrize("protocol", ["dap", "tesla_pp"])
@@ -76,12 +79,19 @@ class TestSimulationParity:
 
 class TestFloodDefence:
     def test_m_buffers_hold_the_flood_off(self):
-        result = run_loopback_soak(ScenarioConfig(buffers=4, **FLOOD))
-        assert result.fleet.total_forged_accepted == 0
-        assert result.packets_injected > 0
+        rates = []
+        for seed in FLOOD_SEEDS:
+            result = run_loopback_soak(
+                ScenarioConfig(buffers=4, **dict(FLOOD, seed=seed))
+            )
+            assert result.fleet.total_forged_accepted == 0
+            assert result.packets_injected > 0
+            rates.append(result.authentication_rate)
         # with m=4 reservoir slots the survival probability 1 - p^m is
-        # high: the flood barely dents the authentication rate
-        assert result.authentication_rate > 0.85
+        # high: the flood barely dents the authentication rate. Three
+        # receivers over 24 intervals is a small sample, so the bound
+        # holds on the mean over a fixed seed set, not on one lucky seed.
+        assert sum(rates) / len(rates) > 0.85
 
     def test_bufferless_receiver_measurably_degrades(self):
         buffered = run_loopback_soak(ScenarioConfig(buffers=4, **FLOOD))

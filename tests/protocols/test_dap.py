@@ -25,9 +25,9 @@ def sender():
 
 
 @pytest.fixture
-def receiver(sender, condition, rng):
+def receiver(sender, condition):
     return DapReceiver(
-        sender.chain.commitment, condition, LOCAL, buffers=4, rng=rng
+        sender.chain.commitment, condition, LOCAL, buffers=4, draw_key=1
     )
 
 
@@ -157,11 +157,11 @@ class TestDapAuthentication:
         assert stored == 4
         assert matched == 1
 
-    def test_observation_log_is_bounded(self, condition, rng):
+    def test_observation_log_is_bounded(self, condition):
         """The reveal-observation journal must not grow unboundedly."""
         sender = DapSender(SEED, 1300)
         receiver = DapReceiver(
-            sender.chain.commitment, condition, LOCAL, buffers=2, rng=rng
+            sender.chain.commitment, condition, LOCAL, buffers=2, draw_key=1
         )
         for interval in range(1, 1201):
             deliver(
@@ -235,7 +235,7 @@ class TestDapUnderFlood:
             condition,
             LOCAL,
             buffers=m,
-            rng=random.Random(5),
+            draw_key=5,
         )
         authenticated = self._flood_and_run(sender, receiver, p, intervals, copies)
         survival = authenticated / (intervals - 1)
@@ -255,7 +255,7 @@ class TestDapUnderFlood:
                 condition,
                 LOCAL,
                 buffers=m,
-                rng=random.Random(m),
+                draw_key=m,
             )
             results[m] = self._flood_and_run(sender, receiver, 0.8, 120, 5)
         assert results[1] < results[4] < results[12]

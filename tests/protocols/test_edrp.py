@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.crypto.onewayfn import standard_functions
@@ -42,7 +40,7 @@ def receiver(sender, two_level, params):
         LooseTimeSync(0.01),
         params,
         cdm_buffers=4,
-        rng=random.Random(9),
+        draw_key=9,
     )
     receiver.bootstrap_commitment(1, sender.chain.low_commitment(1))
     return receiver

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -38,7 +36,7 @@ def build(protocol: str, two_level):
             LooseTimeSync(0.01),
             params,
             cdm_buffers=4,
-            rng=random.Random(3),
+            draw_key=3,
         )
     else:
         params = base
@@ -49,7 +47,7 @@ def build(protocol: str, two_level):
             LooseTimeSync(0.01),
             params,
             cdm_buffers=4,
-            rng=random.Random(3),
+            draw_key=3,
         )
     receiver.bootstrap_commitment(1, sender.chain.low_commitment(1))
     return sender, receiver

@@ -63,7 +63,7 @@ def make_receiver(sender, two_level, params, **overrides) -> MultiLevelReceiver:
         sync=LooseTimeSync(0.01),
         params=params,
         cdm_buffers=4,
-        rng=random.Random(11),
+        draw_key=11,
     )
     kwargs.update(overrides)
     receiver = MultiLevelReceiver(**kwargs)

@@ -40,7 +40,7 @@ def receiver(sender):
         sync=LooseTimeSync(0.01),
         local_key=LOCAL,
         buffers=4,
-        rng=random.Random(1),
+        draw_key=1,
     )
 
 
@@ -142,7 +142,7 @@ class TestRenewalProperties:
             interval_duration=1.0,
             sync=LooseTimeSync(0.01),
             local_key=LOCAL,
-            rng=random.Random(1),
+            draw_key=1,
         )
         run(sender, receiver)
         assert receiver.known_epochs == list(range(epochs))
@@ -223,7 +223,7 @@ class TestReceiver:
             sync=LooseTimeSync(0.01),
             local_key=LOCAL,
             buffers=6,
-            rng=random.Random(3),
+            draw_key=3,
         )
         rng = random.Random(9)
         events = []

@@ -22,9 +22,9 @@ def sender():
 
 
 @pytest.fixture
-def receiver(sender, condition, rng):
+def receiver(sender, condition):
     return TeslaPlusPlusReceiver(
-        sender.chain.commitment, condition, LOCAL, buffers=3, rng=rng
+        sender.chain.commitment, condition, LOCAL, buffers=3, draw_key=1
     )
 
 
@@ -39,9 +39,9 @@ class TestTeslaPlusPlus:
         assert receiver.record_bits == 112
         assert receiver.buffered_bits == 112
 
-    def test_records_wider_than_dap(self, sender, condition, rng):
+    def test_records_wider_than_dap(self, sender, condition):
         teslapp = TeslaPlusPlusReceiver(
-            sender.chain.commitment, condition, LOCAL, rng=rng
+            sender.chain.commitment, condition, LOCAL, draw_key=1
         )
         assert teslapp.record_bits == 2 * 56
 
@@ -88,7 +88,7 @@ class TestKeepFirstVsReservoir:
         sender = TeslaPlusPlusSender(SEED, 41, announce_copies=3)
         receiver = TeslaPlusPlusReceiver(
             sender.chain.commitment, condition, LOCAL, buffers=3,
-            rng=random.Random(1),
+            draw_key=1,
         )
         authenticated = self._run_front_loaded_flood(receiver, sender, 40, 10)
         assert authenticated == 0
@@ -100,7 +100,7 @@ class TestKeepFirstVsReservoir:
         sender = DapSender(SEED, 41, announce_copies=3)
         receiver = DapReceiver(
             sender.chain.commitment, condition, LOCAL, buffers=3,
-            rng=random.Random(1),
+            draw_key=1,
         )
         authenticated = self._run_front_loaded_flood(receiver, sender, 40, 10)
         # 3 authentic of 13 copies, m=3: survival = 1 - C(10,3)/C(13,3).

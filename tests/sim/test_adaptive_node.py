@@ -30,7 +30,7 @@ def build_world(attack_p: float, intervals: int, initial_m: int = 2,
     sender = DapSender(SEED, intervals + 1, announce_copies=5)
     receiver = DapReceiver(
         sender.chain.commitment, condition, b"local", buffers=initial_m,
-        rng=random.Random(seed + 1),
+        draw_key=seed + 1,
     )
     policy = AdaptiveDefense(
         paper_parameters(p=0.5, m=1),
@@ -93,7 +93,7 @@ class TestAdaptiveReceiverNode:
         )
         receiver = DapReceiver(
             sender.chain.commitment, condition, b"local", buffers=5,
-            rng=random.Random(2),
+            draw_key=2,
         )
         for packet in sender.packets_for_interval(1):
             receiver.receive(packet, 0.5)

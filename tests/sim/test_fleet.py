@@ -5,17 +5,19 @@ statistical-equivalence harness."""
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
 from repro.engine import stable_key
 from repro.engine.executors import ParallelExecutor
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.net.harness import shard_sizes
+from repro.protocols import base as protocol_base
 from repro.scenarios.families import ALL_PROTOCOLS
 from repro.sim import fleet
 from repro import perf
-from repro.crypto.kernels import fast_umac, kernels_disabled
+from repro.crypto.kernels import fast_umac
 from repro.sim.fleet import (
     EquivalenceReport,
     run_fleet_scenario,
@@ -25,9 +27,16 @@ from repro.sim.fleet import (
 )
 from repro.sim.metrics import FleetAggregate
 from repro.sim.scenario import ScenarioConfig, run_scenario
+from repro.sim.workloads import workload_for
+from repro.timesync.intervals import IntervalSchedule
+from repro.timesync.sync import LooseTimeSync
 
 #: The canonical catalog seeds (every dual-seed entry declares these).
 CATALOG_SEEDS = (7, 11)
+
+
+def _weak_rejections(result) -> int:
+    return sum(node.rejected_weak_auth for node in result.fleet.nodes)
 
 
 def _assert_identical(config: ScenarioConfig):
@@ -140,6 +149,27 @@ class TestExactParity:
                 engine="vectorized",
             )
         )
+
+    @pytest.mark.parametrize("protocol", ["dap", "tesla_pp"])
+    def test_weak_auth_lockout_at_a_small_key_gap(self, protocol, monkeypatch):
+        """Both engines read the key-gap bound at run time. At gap 2 a
+        lossy channel makes delivered reveals jump past it, which locks
+        a receiver out of weak authentication for the rest of the run —
+        a branch no catalog config reaches at the default 4096."""
+        config = ScenarioConfig(
+            protocol=protocol,
+            intervals=30,
+            receivers=8,
+            buffers=3,
+            attack_fraction=0.5,
+            loss_probability=0.6,
+            packets_per_interval=2,
+            seed=5,
+            engine="vectorized",
+        )
+        assert _weak_rejections(_assert_identical(config)) == 0
+        monkeypatch.setattr(protocol_base, "MAX_KEY_GAP", 2)
+        assert _weak_rejections(_assert_identical(config)) > 0
 
     def test_run_scenario_dispatches_to_fleet(self):
         config = ScenarioConfig(
@@ -258,8 +288,7 @@ class TestSharding:
 
 
 class TestBatchedReplay:
-    """The PR-9 hot path: batched MACs and the vectorized reservoir
-    kernel behind the kernel switch."""
+    """The hot path: batched MACs and the vectorized reservoir replay."""
 
     @staticmethod
     def _config(protocol="dap", seed=7):
@@ -277,19 +306,27 @@ class TestBatchedReplay:
     @pytest.mark.parametrize("protocol", ["dap", "tesla_pp"])
     @pytest.mark.parametrize("seed", CATALOG_SEEDS)
     def test_reservoir_kernel_matches_reference_replay(self, protocol, seed):
-        """Kernels on (one-pass numpy reservoir) vs off (scalar
-        draw-for-draw loop) must be byte-identical — the correctness
-        gate for the vectorized Algorithm-2 kernel."""
-        config = self._config(protocol, seed)
-        kernel = run_fleet_scenario(config)
-        with kernels_disabled():
-            reference = run_fleet_scenario(config)
-        assert kernel.fleet == reference.fleet
-        assert kernel.sent_authentic == reference.sent_authentic
-        assert (
-            kernel.forged_bandwidth_fraction
-            == reference.forged_bandwidth_fraction
+        """The numpy two-phase replay (keyed overflow draws for a whole
+        receiver block) must be byte-identical to the reference replay,
+        the event-driven DES offering copy by copy."""
+        _assert_identical(self._config(protocol, seed))
+
+    def test_replay_rejects_a_plan_outside_the_window_layout(self):
+        """The numpy replay's exactness rests on the announce/reveal
+        window layout; a plan that breaks it is an internal error, not
+        a silent divergence."""
+        config = self._config()
+        plan = fleet._build_plan(
+            config,
+            IntervalSchedule(0.0, config.interval_duration),
+            LooseTimeSync(config.max_offset),
+            workload_for(config),
+            random.Random(1),
         )
+        fleet._two_phase_precompute(plan)
+        shuffled = dataclasses.replace(plan, intervals=plan.intervals[::-1])
+        with pytest.raises(SimulationError):
+            fleet._two_phase_precompute(shuffled)
 
     @pytest.mark.parametrize("protocol", ["dap", "multilevel"])
     def test_replay_batches_macs_not_single_pairs(self, protocol):
