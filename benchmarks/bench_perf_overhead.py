@@ -16,6 +16,7 @@ import time
 from repro import perf
 from repro.crypto import kernels
 from repro.crypto.onewayfn import OneWayFunction
+from repro.perf.names import CRYPTO_HASH
 from repro.sim.scenario import ScenarioConfig, run_scenario
 
 #: Disabled-instrumentation path may cost at most this much more than
@@ -120,4 +121,4 @@ def test_collecting_counters_match_work_done():
     value = b"\x01" * function.output_bytes
     with perf.collecting() as registry:
         function.iterate(value, 123)
-    assert registry.counter("crypto.hash") == 123
+    assert registry.counter(CRYPTO_HASH) == 123

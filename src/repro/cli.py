@@ -43,6 +43,7 @@ from repro.engine import Executor, ResultCache, executor_for
 from repro.errors import ReproError
 from repro.net.harness import LoadTestConfig, run_loadtest
 from repro.perf.bench import BENCH_PRESETS, SCENARIO_PRESETS
+from repro.perf.names import CRYPTO_HASH
 from repro.game.ess import fixed_points, realized_ess
 from repro.game.optimizer import BufferOptimizer, naive_defense_cost
 from repro.game.parameters import GameParameters, paper_parameters
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--project",
         action="store_true",
-        help="also run the whole-program rules (RPL010..RPL011)",
+        help="also run the whole-program rule (RPL010)",
     )
     lint.add_argument(
         "--baseline",
@@ -936,7 +937,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         args.out.write_text(document + "\n")
         print(f"wrote {args.out}", file=sys.stderr)
     print(document)
-    if outcome.report.counters.get("crypto.hash", 0) == 0:
+    if outcome.report.counters.get(CRYPTO_HASH, 0) == 0:
         print(
             "error: profiled run reported zero hash invocations —"
             " perf counters are unwired",

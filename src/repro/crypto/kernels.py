@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, Tuple
 
 from repro import perf
 from repro.errors import ConfigurationError
+from repro.perf.names import CRYPTO_WALK_CACHE_HITS, CRYPTO_WALK_CACHE_MISSES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crypto.onewayfn import OneWayFunction
@@ -205,7 +206,7 @@ def fast_micro_mac(key: bytes, data: bytes, bits: int) -> bytes:
     the statistical-equivalence harness checks when the switch is on.
     Callers route through :meth:`repro.crypto.mac.MicroMacScheme` and
     consult :func:`fast_umac_enabled` — never call the primitive from a
-    hot loop directly (reprolint RPL009 pins that).
+    hot loop directly (reprolint RPL001 pins that).
 
     Keys longer than BLAKE2s's 32-byte limit are folded through one
     SHA-256 (cached); ``bits`` must be in (0, 256] so the tag fits a
@@ -302,11 +303,11 @@ class ChainWalkCache:
             self._walks.move_to_end(key)
             self.hits += 1
             if active is not None:
-                active.incr("crypto.walk_cache.hits")
+                active.incr(CRYPTO_WALK_CACHE_HITS)
             return cached
         self.misses += 1
         if active is not None:
-            active.incr("crypto.walk_cache.misses")
+            active.incr(CRYPTO_WALK_CACHE_MISSES)
         result = self._function.iterate(value, times)
         self._walks[key] = result
         while len(self._walks) > self._max_entries:

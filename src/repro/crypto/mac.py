@@ -28,6 +28,7 @@ from repro import perf
 from repro.crypto import kernels
 from repro.crypto.onewayfn import truncate_to_bits
 from repro.errors import ConfigurationError
+from repro.perf.names import CRYPTO_MAC, CRYPTO_MAC_BATCHES
 
 __all__ = [
     "DEFAULT_MAC_BITS",
@@ -57,7 +58,7 @@ def _hmac_truncated(key: bytes, message: bytes, bits: int, label: bytes) -> byte
     feeding it ``message`` equals hashing the concatenation outright.
     """
     if perf.ACTIVE is not None:
-        perf.ACTIVE.incr("crypto.mac")
+        perf.ACTIVE.incr(CRYPTO_MAC)
     if kernels.ENABLED:
         h = kernels.hmac_midstate(key, label).copy()
         h.update(message)
@@ -105,8 +106,8 @@ class MacScheme:
         if not items:
             return []
         if perf.ACTIVE is not None:
-            perf.ACTIVE.incr("crypto.mac", len(items))
-            perf.ACTIVE.incr("crypto.mac.batches")
+            perf.ACTIVE.incr(CRYPTO_MAC, len(items))
+            perf.ACTIVE.incr(CRYPTO_MAC_BATCHES)
         key = bytes(key)
         bits = self.mac_bits
         if kernels.ENABLED:
@@ -180,7 +181,7 @@ class MicroMacScheme:
             raise ConfigurationError("receiver local key must be non-empty")
         if kernels.fast_umac_enabled():
             if perf.ACTIVE is not None:
-                perf.ACTIVE.incr("crypto.mac")
+                perf.ACTIVE.incr(CRYPTO_MAC)
             return kernels.fast_micro_mac(
                 bytes(local_key), bytes(mac), self.micro_mac_bits
             )
@@ -203,8 +204,8 @@ class MicroMacScheme:
         if not items:
             return []
         if perf.ACTIVE is not None:
-            perf.ACTIVE.incr("crypto.mac", len(items))
-            perf.ACTIVE.incr("crypto.mac.batches")
+            perf.ACTIVE.incr(CRYPTO_MAC, len(items))
+            perf.ACTIVE.incr(CRYPTO_MAC_BATCHES)
         local_key = bytes(local_key)
         bits = self.micro_mac_bits
         if kernels.fast_umac_enabled():

@@ -31,6 +31,7 @@ from typing import ClassVar, Dict
 from repro import perf
 from repro.crypto import kernels
 from repro.errors import ConfigurationError
+from repro.perf.names import CRYPTO_CHAIN_WALK, CRYPTO_HASH
 
 __all__ = [
     "DEFAULT_KEY_BITS",
@@ -130,7 +131,7 @@ class OneWayFunction:
             raise TypeError(f"expected bytes input, got {type(value).__name__}")
         active = perf.ACTIVE
         if active is not None:
-            active.incr("crypto.hash")
+            active.incr(CRYPTO_HASH)
         if kernels.ENABLED:
             h = kernels.sha256_midstate(self._prefix).copy()
             h.update(value)
@@ -153,8 +154,8 @@ class OneWayFunction:
             return result
         active = perf.ACTIVE
         if active is not None:
-            active.incr("crypto.hash", times)
-            active.observe("crypto.chain_walk", times)
+            active.incr(CRYPTO_HASH, times)
+            active.observe(CRYPTO_CHAIN_WALK, times)
         truncate = self._truncate
         if kernels.ENABLED:
             midstate = kernels.sha256_midstate(self._prefix)

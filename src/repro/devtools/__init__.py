@@ -9,12 +9,12 @@ receive picklable work, and content-addressed cache keys must cover
 every configuration field. Two tiers enforce this:
 
 **Tier one — static analysis.** :mod:`repro.devtools.lint` walks the
-source tree and enforces per-file AST rules (RPL001..RPL009) with
-per-line suppressions, text/JSON/GitHub reporters, baselines and
+source tree and enforces per-file AST rules (RPL001..RPL006, RPL009)
+with per-line suppressions, text/JSON/GitHub reporters, baselines and
 CI-friendly exit codes; :mod:`repro.devtools.project` adds the
 whole-program pass (import graph, symbol table, call resolution) behind
-``--project``, running the cross-file rules RPL010 (seed-threading
-dataflow) and RPL011 (perf-counter consistency)::
+``--project``, running the cross-file rule RPL010 (seed-threading
+dataflow)::
 
     python -m repro.devtools.lint src benchmarks --project
     repro lint --project --format github

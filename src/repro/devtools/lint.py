@@ -19,7 +19,7 @@ Suppression syntax (both forms take an optional ``-- justification``):
   rule(s) for the whole file.
 
 Beyond the per-file rules, ``--project`` adds the whole-program pass
-(:mod:`repro.devtools.project` / ``RPL010``–``RPL011``): files are
+(:mod:`repro.devtools.project` / ``RPL010``): files are
 parsed once, indexed together, and the cross-file rules run over the
 index. ``--format github`` emits GitHub Actions annotation lines;
 ``--baseline FILE`` filters findings recorded by ``--write-baseline``
@@ -436,7 +436,7 @@ def lint_paths(
     """Lint files and directories (recursively) into one report.
 
     With ``project=True`` the files are additionally indexed together
-    and the cross-file rules (RPL010–RPL011) run over the index; their
+    and the cross-file rule (RPL010) runs over the index; its
     findings are appended after the per-file findings. ``select`` spans
     both packs — selecting only project codes runs no per-file rules.
     """
@@ -581,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--project",
         action="store_true",
-        help="also run the whole-program pass (RPL010-RPL011)",
+        help="also run the whole-program pass (RPL010)",
     )
     parser.add_argument(
         "--baseline",

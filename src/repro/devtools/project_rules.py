@@ -9,10 +9,6 @@ RPL010    seed-threading dataflow: a function accepting ``seed``/``rng``
           must actually use it and must thread it into callees that
           accept one — a dropped or constant-rederived seed silently
           breaks the DES ↔ fleet ↔ loopback byte-identity contracts
-RPL011    perf-counter consistency: every counter name at an
-          instrumentation *read* site resolves to a name some write
-          site produces, and all write sites agree on one canonical
-          spelling — a typo'd metric name is dead observability
 ========  ==============================================================
 
 Like the per-file pack, rules stay suppression-agnostic; the engine
@@ -23,14 +19,7 @@ each violation points at.
 from __future__ import annotations
 
 import ast
-from typing import (
-    Dict,
-    Iterator,
-    List,
-    Set,
-    Tuple,
-    Type,
-)
+from typing import Iterator, List, Set, Tuple, Type
 
 from repro.devtools.lint import Violation
 from repro.devtools.project import (
@@ -44,7 +33,6 @@ from repro.devtools.rules import _Imports
 
 __all__ = [
     "PROJECT_RULES",
-    "PerfCounterConsistencyRule",
     "SeedThreadingRule",
     "project_rule_catalog",
 ]
@@ -232,130 +220,8 @@ class SeedThreadingRule(ProjectRule):
         )
 
 
-class PerfCounterConsistencyRule(ProjectRule):
-    """RPL011 — one canonical spelling per perf counter name.
-
-    Instrumentation writes (``incr``/``observe``/``timer`` with a
-    string-literal name on a perf-flavoured receiver — ``perf.ACTIVE``,
-    a local ``active``, a ``*registry``) and reads (``counter``,
-    ``hit_rate``) are collected project-wide. A read of a name no write
-    site produces is dead observability: the bench quietly reports
-    zero. Two write-site spellings that normalise to the same name
-    (case/separator drift like ``crypto.walkcache.hits`` vs
-    ``crypto.walk_cache.hits``) split one logical counter across two
-    keys; the minority spelling is flagged against the canonical one.
-    """
-
-    code = "RPL011"
-    name = "perf-counter-consistency"
-    description = (
-        "perf counter read that no instrumentation site writes, or"
-        " write sites disagreeing on one canonical spelling"
-    )
-
-    SCOPE = ("repro/", "benchmarks/")
-    _WRITES = frozenset({"incr", "observe", "timer"})
-    _HINTS = ("perf", "active", "registr")
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Violation]:
-        writes: Dict[str, List[Tuple[ModuleInfo, ast.Call]]] = {}
-        reads: Dict[str, List[Tuple[ModuleInfo, ast.Call]]] = {}
-        for module in self.scoped(index):
-            for call in ast.walk(module.ctx.tree):
-                if not isinstance(call, ast.Call):
-                    continue
-                func = call.func
-                if not isinstance(func, ast.Attribute):
-                    continue
-                receiver = dotted_chain(func.value)
-                if receiver is None or not self._perf_receiver(receiver):
-                    continue
-                if func.attr in self._WRITES:
-                    names = self._str_args(call, 1)
-                elif func.attr == "counter":
-                    names = self._str_args(call, 1)
-                elif func.attr == "hit_rate":
-                    names = self._str_args(call, 2)
-                else:
-                    continue
-                target = writes if func.attr in self._WRITES else reads
-                for name in names:
-                    target.setdefault(name, []).append((module, call))
-        yield from self._check(writes, reads)
-
-    def _perf_receiver(self, chain: List[str]) -> bool:
-        return any(
-            hint in part.lower() for part in chain for hint in self._HINTS
-        )
-
-    @staticmethod
-    def _str_args(call: ast.Call, count: int) -> List[str]:
-        names: List[str] = []
-        for arg in call.args[:count]:
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                names.append(arg.value)
-        return names
-
-    @staticmethod
-    def _normalise(name: str) -> str:
-        return name.lower().replace(".", "").replace("_", "").replace("-", "")
-
-    def _check(
-        self,
-        writes: Dict[str, List[Tuple[ModuleInfo, ast.Call]]],
-        reads: Dict[str, List[Tuple[ModuleInfo, ast.Call]]],
-    ) -> Iterator[Violation]:
-        by_norm: Dict[str, Dict[str, List[Tuple[ModuleInfo, ast.Call]]]] = {}
-        for name, sites in writes.items():
-            by_norm.setdefault(self._normalise(name), {})[name] = sites
-        for name in sorted(reads):
-            if name in writes:
-                continue
-            near = by_norm.get(self._normalise(name))
-            for module, call in reads[name]:
-                if near:
-                    canonical = self._canonical(near)
-                    message = (
-                        f"reads perf counter '{name}' but instrumentation"
-                        f" writes '{canonical}': spelling drift makes this"
-                        " read permanently zero"
-                    )
-                else:
-                    message = (
-                        f"reads perf counter '{name}' that no"
-                        " instrumentation site writes — dead"
-                        " observability (fix the name or instrument the"
-                        " path)"
-                    )
-                yield self.violation(module, call, message)
-        for norm in sorted(by_norm):
-            spellings = by_norm[norm]
-            if len(spellings) <= 1:
-                continue
-            canonical = self._canonical(spellings)
-            for spelling in sorted(spellings):
-                if spelling == canonical:
-                    continue
-                for module, call in spellings[spelling]:
-                    yield self.violation(
-                        module,
-                        call,
-                        f"perf counter spelling '{spelling}' diverges"
-                        f" from the canonical '{canonical}' used by"
-                        f" {len(spellings[canonical])} other site(s):"
-                        " one logical counter is split across two keys",
-                    )
-
-    @staticmethod
-    def _canonical(
-        spellings: Dict[str, List[Tuple[ModuleInfo, ast.Call]]]
-    ) -> str:
-        return max(spellings, key=lambda name: (len(spellings[name]), name))
-
-
 PROJECT_RULES: Tuple[Type[ProjectRule], ...] = (
     SeedThreadingRule,
-    PerfCounterConsistencyRule,
 )
 
 

@@ -6,7 +6,9 @@ and ``docs/API.md`` for the full rationale:
 
 ========  ==============================================================
 RPL001    all hashing routes through :mod:`repro.crypto.kernels` /
-          :mod:`repro.engine.hashing` (midstate caching stays exact)
+          :mod:`repro.engine.hashing` (midstate caching stays exact;
+          a stray ``hashlib.blake2*`` call would also sidestep the
+          ``FAST_UMAC`` switch)
 RPL002    no nondeterminism sources inside ``sim/``, ``game/``,
           ``crypto/`` (the fleet engine mirrors the DES draw-for-draw)
 RPL003    no blocking calls inside ``async def`` bodies in ``net/``
@@ -16,17 +18,9 @@ RPL005    cache-key hygiene: content-addressed config dataclasses keep
           every knob visible to ``stable_key``
 RPL006    no bare/broad ``except`` that swallows (fault boundaries that
           re-raise are fine)
-RPL007    every ``register_scenario`` call declares its ``tier=`` and
-          ``seeds=`` explicitly (catalog entries are replayable facts)
-RPL008    every ``SharedMemory`` block is ``close()``d — and
-          ``unlink()``ed when created — in a ``finally`` path (shared
-          segments outlive the process; leaks accumulate in /dev/shm)
-RPL009    μMAC/MAC hot paths use the batch APIs: no direct
-          ``hashlib.blake2*`` outside :mod:`repro.crypto.kernels`
-          (the fast μMAC is non-faithful and must stay behind the
-          ``FAST_UMAC`` switch), no scalar ``.compute()``/``.verify()``
-          MAC calls inside loop bodies (use ``compute_many`` /
-          ``verify_many``)
+RPL009    μMAC/MAC hot paths use the batch APIs: no scalar
+          ``.compute()``/``.verify()`` MAC calls inside loop bodies
+          (use ``compute_many`` / ``verify_many``)
 ========  ==============================================================
 
 Rules report through :class:`~repro.devtools.lint.Violation`; the
@@ -50,8 +44,6 @@ __all__ = [
     "ForkSafetyRule",
     "CacheKeyHygieneRule",
     "ExceptionHygieneRule",
-    "ScenarioRegistrationRule",
-    "SharedMemoryHygieneRule",
     "BatchedMacRoutingRule",
     "rule_catalog",
 ]
@@ -732,275 +724,38 @@ class ExceptionHygieneRule(Rule):
         return False
 
 
-class ScenarioRegistrationRule(Rule):
-    """RPL007 — scenario registrations spell out tier and seeds.
-
-    A catalog entry is a replayable fact: ``repro scenarios validate``
-    and the CI contract job re-run it at its *declared* seeds on its
-    *declared* tier. ``register_scenario`` enforces both keywords at
-    runtime, but only for code paths that import; this rule catches a
-    registration missing ``tier=`` or ``seeds=`` (or sneaking them in
-    positionally / via ``**kwargs``) at lint time, across the whole
-    tree including modules the test run never loads.
-    """
-
-    code = "RPL007"
-    name = "scenario-registration"
-    description = (
-        "register_scenario call without explicit tier= and seeds="
-        " keywords"
-    )
-
-    SCOPE = ("repro/", "benchmarks/")
-    _REQUIRED = ("tier", "seeds")
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        if not ctx.in_dir(*self.SCOPE):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not self._is_register_call(node.func):
-                continue
-            given = {kw.arg for kw in node.keywords if kw.arg is not None}
-            missing = [name for name in self._REQUIRED if name not in given]
-            if missing:
-                yield self.violation(
-                    ctx,
-                    node,
-                    "register_scenario without explicit"
-                    f" {' and '.join(f'{name}=' for name in missing)}:"
-                    " catalog entries must pin their difficulty tier and"
-                    " canonical seeds at the registration site",
-                )
-
-    @staticmethod
-    def _is_register_call(func: ast.expr) -> bool:
-        if isinstance(func, ast.Name):
-            return func.id == "register_scenario"
-        if isinstance(func, ast.Attribute):
-            return func.attr == "register_scenario"
-        return False
-
-
-class SharedMemoryHygieneRule(Rule):
-    """RPL008 — SharedMemory blocks are released on every path.
-
-    The fleet engine publishes its packed delivery mask to pool workers
-    through one :class:`multiprocessing.shared_memory.SharedMemory`
-    block. Shared segments outlive the process: a creating path that
-    skips ``unlink()`` leaks a ``/dev/shm`` segment run after run, and
-    an attaching path that skips ``close()`` keeps the mapping (and its
-    descriptor) pinned for the process lifetime. Every
-    ``SharedMemory(...)`` call must therefore either bind a plain name
-    whose ``close()`` — plus ``unlink()`` when ``create=True`` — runs
-    inside a ``finally`` block of the same function, or be returned
-    directly (ownership transfers to the caller, where this rule
-    applies again).
-    """
-
-    code = "RPL008"
-    name = "shared-memory-hygiene"
-    description = (
-        "SharedMemory block without close() (and unlink() when created)"
-        " in a finally path"
-    )
-
-    SCOPE = ("repro/", "benchmarks/")
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        if not ctx.in_dir(*self.SCOPE):
-            return
-        yield from self._check_scope(ctx, ctx.tree)
-
-    def _check_scope(
-        self, ctx: LintContext, scope: ast.AST
-    ) -> Iterator[Violation]:
-        statements = list(getattr(scope, "body", []))
-        closed, unlinked = self._finally_cleanups(statements)
-        handled: Set[int] = set()
-        stack: List[ast.AST] = list(statements)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_scope(ctx, node)
-                continue
-            if isinstance(node, ast.Return) and self._is_block_call(
-                node.value
-            ):
-                # Direct return: ownership transfers to the caller,
-                # where this rule applies to the binding again.
-                handled.add(id(node.value))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                value = node.value
-                if isinstance(value, ast.Call) and self._is_block_call(value):
-                    handled.add(id(value))
-                    yield from self._check_binding(
-                        ctx, node, value, closed, unlinked
-                    )
-            elif (
-                isinstance(node, ast.Call)
-                and self._is_block_call(node)
-                and id(node) not in handled
-            ):
-                yield self.violation(
-                    ctx,
-                    node,
-                    "anonymous SharedMemory(...): nothing can ever"
-                    " close() it; bind it to a name and release it in"
-                    " a finally block",
-                )
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _check_binding(
-        self,
-        ctx: LintContext,
-        stmt: ast.AST,
-        call: ast.Call,
-        closed: Set[str],
-        unlinked: Set[str],
-    ) -> Iterator[Violation]:
-        targets: List[ast.expr]
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, ast.AnnAssign):
-            targets = [stmt.target]
-        else:  # unreachable: callers pass Assign/AnnAssign only
-            return
-        if len(targets) != 1 or not isinstance(targets[0], ast.Name):
-            yield self.violation(
-                ctx,
-                call,
-                "SharedMemory block bound to a non-name target; bind"
-                " it to a plain local so a finally block can release"
-                " it",
-            )
-            return
-        name = targets[0].id
-        if name not in closed:
-            yield self.violation(
-                ctx,
-                call,
-                f"SharedMemory block {name!r} has no {name}.close() in"
-                " a finally block: the mapping stays pinned when a"
-                " later statement raises",
-            )
-        if self._creates(call) and name not in unlinked:
-            yield self.violation(
-                ctx,
-                call,
-                f"created SharedMemory block {name!r} has no"
-                f" {name}.unlink() in a finally block: the /dev/shm"
-                " segment outlives the process and leaks run after"
-                " run",
-            )
-
-    def _finally_cleanups(
-        self, statements: Sequence[ast.AST]
-    ) -> Tuple[Set[str], Set[str]]:
-        """Names ``close()``d / ``unlink()``ed inside any ``finally``
-        of this scope (nested function bodies excluded)."""
-        closed: Set[str] = set()
-        unlinked: Set[str] = set()
-        stack: List[ast.AST] = list(statements)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, ast.Try):
-                for cleanup in node.finalbody:
-                    for call in ast.walk(cleanup):
-                        if (
-                            isinstance(call, ast.Call)
-                            and isinstance(call.func, ast.Attribute)
-                            and isinstance(call.func.value, ast.Name)
-                        ):
-                            if call.func.attr == "close":
-                                closed.add(call.func.value.id)
-                            elif call.func.attr == "unlink":
-                                unlinked.add(call.func.value.id)
-            stack.extend(ast.iter_child_nodes(node))
-        return closed, unlinked
-
-    @staticmethod
-    def _is_block_call(node: Optional[ast.expr]) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        if isinstance(func, ast.Name):
-            return func.id == "SharedMemory"
-        return isinstance(func, ast.Attribute) and func.attr == "SharedMemory"
-
-    @staticmethod
-    def _creates(node: ast.Call) -> bool:
-        return any(
-            keyword.arg == "create"
-            and isinstance(keyword.value, ast.Constant)
-            and keyword.value.value is True
-            for keyword in node.keywords
-        )
-
-
 class BatchedMacRoutingRule(Rule):
-    """RPL009 — MAC hot paths stay on the batch/kernel routes.
+    """RPL009 — MAC hot paths stay on the batch routes.
 
-    Two anti-patterns, both born in the PR-9 batching work:
-
-    1. A direct ``hashlib.blake2b``/``blake2s`` call outside
-       :mod:`repro.crypto.kernels`. The keyed-BLAKE2s μMAC fast path is
-       *non-faithful by design* (different bytes, same collision
-       model), so it must stay behind :func:`kernels.fast_micro_mac`
-       and the ``FAST_UMAC`` switch — a stray blake2 call sidesteps the
-       switch and the parity harnesses can no longer force the
-       faithful path.
-    2. A scalar ``.compute()`` / ``.verify()`` call on a MAC scheme
-       inside a loop body. Per-call key-block lookups in a flood loop
-       are exactly what :meth:`MacScheme.compute_many` /
-       :meth:`verify_many` batch away (the fleet replay's single-pair
-       ``verify_many`` bug, generalised); hoist the loop into one
-       batched call. Reference fallbacks and scalar-vs-batched benches
-       carry an annotated suppression.
+    A scalar ``.compute()`` / ``.verify()`` call on a MAC scheme inside
+    a loop body does one key-block lookup per call in a flood loop —
+    exactly what :meth:`MacScheme.compute_many` / :meth:`verify_many`
+    batch away (the fleet replay's single-pair ``verify_many`` bug,
+    generalised); hoist the loop into one batched call. Reference
+    fallbacks and scalar-vs-batched benches carry an annotated
+    suppression. (Direct ``hashlib.blake2*`` calls, which would
+    sidestep the ``FAST_UMAC`` switch, are RPL001 findings like any
+    other ``hashlib`` call.)
     """
 
     code = "RPL009"
     name = "batched-mac-routing"
-    description = (
-        "direct hashlib.blake2* call outside crypto.kernels, or scalar"
-        " MAC compute()/verify() inside a loop body"
-    )
+    description = "scalar MAC compute()/verify() inside a loop body"
 
     SCOPE = ("repro/", "benchmarks/")
-    ALLOWED_BLAKE2 = frozenset({"repro/crypto/kernels.py"})
-    _BLAKE2 = frozenset({"blake2b", "blake2s"})
     _SCALAR = frozenset({"compute", "verify"})
     _MAC_HINTS = ("mac", "micro", "scheme")
 
     def check(self, ctx: LintContext) -> Iterator[Violation]:
         if not ctx.in_dir(*self.SCOPE):
             return
-        imports = _Imports(ctx.tree, {"hashlib"})
-        blake2_allowed = ctx.logical_path in self.ALLOWED_BLAKE2
         loop_calls = self._loop_body_calls(ctx.tree)
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not blake2_allowed:
-                resolved = imports.resolve_call(node.func)
-                if (
-                    resolved is not None
-                    and resolved[0] == "hashlib"
-                    and resolved[1] in self._BLAKE2
-                ):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"direct hashlib.{resolved[1]}() call: the"
-                        " BLAKE2 μMAC fast path is non-faithful and"
-                        " must stay behind kernels.fast_micro_mac and"
-                        " the FAST_UMAC switch so parity harnesses can"
-                        " force the faithful path",
-                    )
-            if id(node) in loop_calls and self._is_scalar_mac_call(node.func):
+            if (
+                isinstance(node, ast.Call)
+                and id(node) in loop_calls
+                and self._is_scalar_mac_call(node.func)
+            ):
                 assert isinstance(node.func, ast.Attribute)
                 yield self.violation(
                     ctx,
@@ -1054,8 +809,6 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     ForkSafetyRule,
     CacheKeyHygieneRule,
     ExceptionHygieneRule,
-    ScenarioRegistrationRule,
-    SharedMemoryHygieneRule,
     BatchedMacRoutingRule,
 )
 

@@ -1,9 +1,8 @@
 """ResourceSanitizer: SharedMemory / socket / file-handle leak tracking.
 
 The fleet engine creates ``multiprocessing.shared_memory`` segments,
-which outlive the process if not unlinked. RPL008 statically checks the obvious ``create``/``unlink``
-pairing; this sanitizer is the dynamic complement: every tracked
-resource not released by end-of-run is reported with its creation site.
+which outlive the process if not unlinked. Every tracked resource not
+released by end-of-run is reported with its creation site.
 
 Hot-path contract: :func:`track_resource` and :func:`release_resource`
 are no-ops behind an ``ACTIVE is None`` guard at each call site —

@@ -38,6 +38,11 @@ from repro.net.daemons import Broadcaster, ReceiverDaemon
 from repro.net.flood import FloodAttacker, ProvenanceRegistry
 from repro.net.proxy import FaultInjectionProxy, ProxyConfig
 from repro.net.transport import LoopbackNetwork
+from repro.perf.names import (
+    NET_DATAGRAMS_DELIVERED,
+    NET_DATAGRAMS_DROPPED,
+    NET_SOAK_WALL_SECONDS,
+)
 from repro.sim.metrics import FleetSummary
 from repro.scenarios.families import NET_PROTOCOLS
 from repro.sim.scenario import ScenarioConfig, build_two_phase_protocol
@@ -286,9 +291,9 @@ def run_loopback_soak(
     wall = time.perf_counter() - started
     active = perf.ACTIVE
     if active is not None:
-        active.observe("net.soak_wall_seconds", wall)
-        active.incr("net.datagrams_delivered", network.datagrams_delivered)
-        active.incr("net.datagrams_dropped", proxy.dropped)
+        active.observe(NET_SOAK_WALL_SECONDS, wall)
+        active.incr(NET_DATAGRAMS_DELIVERED, network.datagrams_delivered)
+        active.incr(NET_DATAGRAMS_DROPPED, proxy.dropped)
     return SoakResult(
         fleet=fleet,
         sent_authentic=world.sent_authentic,

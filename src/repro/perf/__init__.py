@@ -6,9 +6,10 @@ discrete-event loop, the broadcast medium, the net harness — guard
 every update with::
 
     from repro import perf
+    from repro.perf.names import CRYPTO_HASH
     ...
     if perf.ACTIVE is not None:
-        perf.ACTIVE.incr("crypto.hash")
+        perf.ACTIVE.incr(CRYPTO_HASH)
 
 so disabled instrumentation costs a single module-attribute load per
 call site (the guard bench in ``benchmarks/bench_perf_overhead.py``
@@ -18,21 +19,8 @@ keeps that claim honest). Enable collection around any block with::
         run_scenario(config)
     print(registry.snapshot())
 
-Well-known names (see docs/API.md for the full table):
-
-============================  =============================================
-``crypto.hash``               one-way function applications (chain steps)
-``crypto.mac``                HMAC computations (MAC + μMAC, all schemes)
-``crypto.walk_cache.hits``    chain-walk cache hits (O(1) re-verifications)
-``crypto.walk_cache.misses``  chain-walk cache misses (full back-walks)
-``crypto.chain_walk``         observation: walk lengths in chain steps
-``sim.events``                simulator events executed
-``sim.queue_depth``           observation: event-queue depth per event
-``sim.broadcasts``            packets offered to the broadcast medium
-``sim.deliveries``            post-loss deliveries scheduled
-``sim.drops``                 deliveries lost to the channel
-``net.soak_wall_seconds``     observation: wall time per soak
-============================  =============================================
+Counter and observation names are the constants in
+:mod:`repro.perf.names` (tabulated in docs/API.md).
 """
 
 from __future__ import annotations
@@ -40,6 +28,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from repro.perf import names
 from repro.perf.registry import Observation, PerfRegistry
 from repro.perf.report import PerfReport
 
@@ -53,6 +42,7 @@ __all__ = [
     "enable",
     "enabled",
     "incr",
+    "names",
     "observe",
 ]
 

@@ -83,6 +83,13 @@ from repro.crypto.onewayfn import OneWayFunction
 from repro.crypto.pebbled import PebbledKeyChain, pebble_bound
 from repro.errors import ConfigurationError, ReproError
 from repro.perf import collecting
+from repro.perf.names import (
+    CRYPTO_HASH,
+    CRYPTO_MAC,
+    CRYPTO_MAC_BATCHES,
+    CRYPTO_WALK_CACHE_HITS,
+    CRYPTO_WALK_CACHE_MISSES,
+)
 from repro.scenarios import get_scenario
 from repro.sim.scenario import ScenarioConfig, run_scenario
 
@@ -490,7 +497,7 @@ def _bench_scenario(preset: Dict[str, Any]) -> Dict[str, Any]:
         "counters": dict(kernel_registry.counters),
         "walk_cache_hit_rate": round(
             kernel_registry.hit_rate(
-                "crypto.walk_cache.hits", "crypto.walk_cache.misses"
+                CRYPTO_WALK_CACHE_HITS, CRYPTO_WALK_CACHE_MISSES
             ),
             4,
         ),
@@ -528,9 +535,9 @@ def run_bench(preset: str = "smoke", repeat: int = 3) -> Dict[str, Any]:
     finally:
         set_kernels_enabled(previous)
     counters = results["scenario"]["counters"]
-    hashes = counters.get("crypto.hash", 0)
-    macs = counters.get("crypto.mac", 0)
-    batches = counters.get("crypto.mac.batches", 0)
+    hashes = counters.get(CRYPTO_HASH, 0)
+    macs = counters.get(CRYPTO_MAC, 0)
+    batches = counters.get(CRYPTO_MAC_BATCHES, 0)
     if hashes == 0 or macs == 0 or batches == 0:
         raise ReproError(
             "instrumented scenario reported zero hash/MAC/batch invocations"

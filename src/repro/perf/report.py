@@ -13,20 +13,28 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
+from repro.perf.names import (
+    CRYPTO_HASH,
+    CRYPTO_MAC,
+    CRYPTO_WALK_CACHE_HITS,
+    CRYPTO_WALK_CACHE_MISSES,
+    SIM_EVENTS,
+)
+
 __all__ = ["PerfReport"]
 
 
 def _derived(counters: Mapping[str, int]) -> Dict[str, float]:
     """Ratios worth reading directly off a report."""
     out: Dict[str, float] = {}
-    hits = counters.get("crypto.walk_cache.hits", 0)
-    misses = counters.get("crypto.walk_cache.misses", 0)
+    hits = counters.get(CRYPTO_WALK_CACHE_HITS, 0)
+    misses = counters.get(CRYPTO_WALK_CACHE_MISSES, 0)
     if hits + misses:
         out["walk_cache_hit_rate"] = hits / (hits + misses)
-    events = counters.get("sim.events", 0)
+    events = counters.get(SIM_EVENTS, 0)
     if events:
-        out["hashes_per_event"] = counters.get("crypto.hash", 0) / events
-        out["macs_per_event"] = counters.get("crypto.mac", 0) / events
+        out["hashes_per_event"] = counters.get(CRYPTO_HASH, 0) / events
+        out["macs_per_event"] = counters.get(CRYPTO_MAC, 0) / events
     return out
 
 

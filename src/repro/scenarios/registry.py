@@ -22,9 +22,7 @@ Builders register through the :func:`register_scenario` decorator::
 
 Registration is validated eagerly (name shape, tier, seeds, engine
 declarations, workload/protocol consistency) so a bad catalog entry
-fails at import, not at lookup. The reprolint rule RPL007 additionally
-enforces — statically — that every ``register_scenario`` call spells
-its ``tier=`` and ``seeds=`` explicitly.
+fails at import, not at lookup.
 
 The built-in catalog (:mod:`repro.scenarios.catalog`) is loaded
 lazily on first lookup, keeping ``import repro.scenarios`` cheap and
@@ -195,8 +193,9 @@ def register_scenario(
     :class:`~repro.sim.scenario.ScenarioConfig` is frozen into an
     immutable :class:`ScenarioDescriptor`. The workload family is
     derived from ``config.workload`` so descriptor and config can never
-    disagree. ``tier`` and ``seeds`` are mandatory keywords — enforced
-    here and, statically, by reprolint rule RPL007.
+    disagree. ``tier`` and ``seeds`` are required keyword-only
+    arguments, so a registration omitting either (or passing it
+    positionally) is a ``TypeError`` before the builder runs.
     """
 
     def decorate(

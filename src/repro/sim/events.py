@@ -14,6 +14,7 @@ from typing import Callable, List, Optional
 
 from repro import perf
 from repro.errors import ConfigurationError, SchedulingError
+from repro.perf.names import SIM_EVENTS, SIM_QUEUE_DEPTH
 from repro.timesync.clock import SimClock
 
 __all__ = ["EventHandle", "Simulator"]
@@ -142,8 +143,8 @@ class Simulator:
             self._processed += 1
             active = perf.ACTIVE
             if active is not None:
-                active.incr("sim.events")
-                active.observe("sim.queue_depth", len(self._queue))
+                active.incr(SIM_EVENTS)
+                active.observe(SIM_QUEUE_DEPTH, len(self._queue))
         if until is not None and self.now < until and (
             not self._queue or self._queue[0].time > until
         ):

@@ -101,6 +101,7 @@ from repro.devtools.sanitizers.resources import release_resource, track_resource
 from repro.engine.executors import Executor
 from repro.engine.spec import ExperimentSpec
 from repro.errors import ConfigurationError, SimulationError
+from repro.perf.names import SIM_BROADCASTS, SIM_DELIVERIES, SIM_DROPS
 from repro.protocols import base as protocol_base
 from repro.protocols.dap import DapSender
 from repro.protocols.edrp import edrp_params
@@ -539,7 +540,7 @@ def _build_single_level_plan(
         outcomes = mac_scheme.verify_many(key, pairs)
         for (src, _pair), ok in zip(reps, outcomes[: len(reps)]):
             if not ok:
-                raise ConfigurationError(
+                raise SimulationError(
                     f"authentic record failed MAC verification at interval"
                     f" {interval}, source {src}"
                 )
@@ -712,7 +713,7 @@ def _build_multilevel_plan(
         outcomes = mac_scheme.verify_many(key, [pair for _src, pair in group])
         for (source, _pair), ok in zip(group, outcomes):
             if not ok:
-                raise ConfigurationError(
+                raise SimulationError(
                     f"authentic data record failed MAC verification at flat"
                     f" interval {flat}, source {source}"
                 )
@@ -1246,7 +1247,7 @@ def _replay_single_level(
                 # Forged disclosure: authenticates only from an anchor
                 # in its (practically empty) back-walk collision set.
                 if trusted in anchors:
-                    raise ConfigurationError(
+                    raise SimulationError(
                         "forged key disclosure back-walked to the trusted"
                         " chain (2^-80 collision) — replay cannot mirror a"
                         " corrupted trust anchor"
@@ -1404,7 +1405,7 @@ def _replay_multilevel(
                         accept_cdm(high)
                         break
                     if forged_mac_valid[entry]:
-                        raise ConfigurationError(
+                        raise SimulationError(
                             "forged CDM passed MAC verification (2^-80"
                             " collision) — replay cannot mirror a"
                             " corrupted commitment"
@@ -1432,7 +1433,7 @@ def _replay_multilevel(
                             accept_cdm(high)
                             accepted = True
                         elif forged_pin_match[forged_id]:
-                            raise ConfigurationError(
+                            raise SimulationError(
                                 "forged CDM matched the EDRP hash pin"
                                 " (2^-80 collision) — replay cannot mirror"
                                 " a corrupted commitment"
@@ -1754,9 +1755,9 @@ def run_fleet_scenario(
 
     active = perf.ACTIVE
     if active is not None:
-        active.incr("sim.broadcasts", slots)
-        active.incr("sim.deliveries", delivered_total)
-        active.incr("sim.drops", slots * config.receivers - delivered_total)
+        active.incr(SIM_BROADCASTS, slots)
+        active.incr(SIM_DELIVERIES, delivered_total)
+        active.incr(SIM_DROPS, slots * config.receivers - delivered_total)
 
     return ScenarioResult(
         config=config,

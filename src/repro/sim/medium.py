@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro import perf
 from repro.errors import ConfigurationError
+from repro.perf.names import SIM_BROADCASTS, SIM_DELIVERIES, SIM_DROPS
 from repro.protocols.packets import LEGITIMATE
 from repro.sim.channel import BernoulliLoss, LossProcess
 from repro.sim.events import Simulator
@@ -186,7 +187,7 @@ class BroadcastMedium:
             scheduled += 1
         active = perf.ACTIVE
         if active is not None:
-            active.incr("sim.broadcasts")
-            active.incr("sim.deliveries", scheduled)
-            active.incr("sim.drops", self._drops - drops_before)
+            active.incr(SIM_BROADCASTS)
+            active.incr(SIM_DELIVERIES, scheduled)
+            active.incr(SIM_DROPS, self._drops - drops_before)
         return scheduled

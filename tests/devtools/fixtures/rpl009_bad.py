@@ -1,19 +1,6 @@
-"""RPL009 bad corpus: stray blake2 primitives and scalar MACs in loops."""
-
-import hashlib
-from hashlib import blake2s
+"""RPL009 bad corpus: scalar MACs in loops."""
 
 from repro.crypto.mac import MacScheme, MicroMacScheme
-
-
-def fast_tag(key: bytes, mac: bytes) -> bytes:
-    # direct blake2b: sidesteps kernels.fast_micro_mac and FAST_UMAC
-    return hashlib.blake2b(mac, key=key, digest_size=3).digest()
-
-
-def fast_tag_member(key: bytes, mac: bytes) -> bytes:
-    # member-imported blake2s: same bypass through an alias
-    return blake2s(mac, key=key, digest_size=3).digest()
 
 
 def verify_all(scheme: MacScheme, key: bytes, records):

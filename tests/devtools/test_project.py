@@ -1,5 +1,4 @@
-"""Whole-program pass: index construction, the RPL010..RPL011 fixture
-corpus, per-file rules still firing under ``--project``, and the
+"""Whole-program pass: index construction, the RPL010 fixture corpus, per-file rules still firing under ``--project``, and the
 project-level self-clean gate."""
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ ROOT = Path(__file__).resolve().parent.parent.parent
 #: exactly once in its fixture.
 PROJECT_CASES = {
     "RPL010": ("repro/sim/fixture_mod.py", 3),
-    "RPL011": ("repro/perf/fixture_mod.py", 3),
 }
 
 
@@ -125,19 +123,19 @@ def test_rpl010_resolves_module_alias_calls():
 
 def test_project_rule_catalog():
     catalog = project_rule_catalog()
-    assert [code for code, _, _ in catalog] == ["RPL010", "RPL011"]
-    assert len(PROJECT_RULES) == 2
+    assert [code for code, _, _ in catalog] == ["RPL010"]
+    assert len(PROJECT_RULES) == 1
 
 
 # -- per-file rules under the project pass ----------------------------------
 
 
 def _write_fixture_tree(tmp_path: Path) -> Path:
-    """A src-like tree holding the RPL007/RPL009 bad fixtures at their
+    """A src-like tree holding the RPL001/RPL009 bad fixtures at their
     scoped paths, to prove the per-file corpus still fires when the
     whole-program pass is on."""
     for code, rel in (
-        ("rpl007", "repro/scenarios/fixture_mod.py"),
+        ("rpl001", "repro/analysis/fixture_mod.py"),
         ("rpl009", "repro/protocols/fixture_mod.py"),
     ):
         target = tmp_path / "src" / rel
@@ -155,9 +153,8 @@ def test_file_rules_still_fire_under_project_pass(tmp_path):
     for violation in report.violations:
         per_rule.setdefault(violation.rule, 0)
         per_rule[violation.rule] += 1
-    assert per_rule.get("RPL007") == 4, per_rule
-    assert per_rule.get("RPL009") == 4, per_rule
-    assert "RPL010" in report.rules and "RPL011" in report.rules
+    assert per_rule == {"RPL001": 4, "RPL009": 2}, per_rule
+    assert "RPL010" in report.rules
 
 
 def test_project_select_requires_project_flag(tmp_path):
@@ -176,5 +173,5 @@ def test_src_and_benchmarks_are_project_clean():
         [ROOT / "src", ROOT / "benchmarks"], project=True
     )
     assert report.files_checked > 80
-    assert len(report.rules) == 11
+    assert len(report.rules) == 8
     assert report.violations == (), "\n" + report.format_text()

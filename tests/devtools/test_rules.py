@@ -17,15 +17,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: fixture). The paths deliberately sit *outside* the real package
 #: files so the corpus keeps working however the tree evolves.
 CASES = {
-    "RPL001": ("repro/protocols/fixture_mod.py", 2),
+    "RPL001": ("repro/protocols/fixture_mod.py", 4),
     "RPL002": ("repro/sim/fixture_mod.py", 4),
     "RPL003": ("repro/net/fixture_mod.py", 2),
     "RPL004": ("repro/analysis/fixture_mod.py", 3),
     "RPL005": ("repro/sim/fixture_mod.py", 4),
     "RPL006": ("repro/game/fixture_mod.py", 1),
-    "RPL007": ("repro/scenarios/fixture_mod.py", 4),
-    "RPL008": ("repro/sim/fixture_mod.py", 3),
-    "RPL009": ("repro/protocols/fixture_mod.py", 4),
+    "RPL009": ("repro/protocols/fixture_mod.py", 2),
 }
 
 
@@ -173,26 +171,9 @@ def test_rpl006_reraising_boundary_is_allowed():
     assert check_source(source, "repro/game/x.py", select=["RPL006"]) == []
 
 
-def test_rpl007_names_the_missing_keywords():
-    source = (
-        "from repro.scenarios import register_scenario\n"
-        "\n"
-        "\n"
-        "@register_scenario(name='x', seeds=(7,))\n"
-        "def _x():\n"
-        "    return None\n"
-    )
-    violations = check_source(
-        source, "repro/scenarios/x.py", select=["RPL007"]
-    )
-    assert len(violations) == 1
-    assert "tier=" in violations[0].message
-    assert "seeds=" not in violations[0].message
-
-
 def test_rule_catalog_covers_all_rules():
     catalog = rule_catalog()
-    assert len(catalog) == len(ALL_RULES) == 9
+    assert len(catalog) == len(ALL_RULES) == 7
     codes = [code for code, _name, _description in catalog]
     assert codes == sorted(codes)
     assert codes[0] == "RPL001" and codes[-1] == "RPL009"

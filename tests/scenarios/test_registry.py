@@ -97,6 +97,29 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="duplicate"):
             self._attempt(seeds=(5, 5))
 
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((), {"seeds": (1,)}, "tier"),
+            ((), {"tier": "T0"}, "seeds"),
+            (("T0",), {"seeds": (1,)}, "positional"),
+            (((1,),), {"tier": "T0"}, "positional"),
+        ],
+        ids=["tier-omitted", "seeds-omitted", "tier-positional", "seeds-positional"],
+    )
+    def test_tier_and_seeds_are_required_keywords(
+        self, scratch_name, args, kwargs, message
+    ):
+        """A registration that omits tier or seeds, or passes either
+        positionally, fails at decoration before the builder runs."""
+        with pytest.raises(TypeError, match=message):
+
+            @register_scenario(*args, name=scratch_name, **kwargs)
+            def build():
+                raise AssertionError("builder must not run")
+
+        assert scratch_name not in scenario_names()
+
     def test_des_engine_is_mandatory(self):
         with pytest.raises(ConfigurationError, match="'des'"):
             self._attempt(engines=("vectorized",))

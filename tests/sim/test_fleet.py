@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from multiprocessing import shared_memory
 
 import pytest
 
+from repro.devtools.sanitizers.resources import ResourceSanitizer, tracking
 from repro.engine import stable_key
-from repro.engine.executors import ParallelExecutor
+from repro.engine.executors import Executor, ParallelExecutor
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.harness import shard_sizes
 from repro.protocols import base as protocol_base
@@ -33,6 +35,24 @@ from repro.timesync.sync import LooseTimeSync
 
 #: The canonical catalog seeds (every dual-seed entry declares these).
 CATALOG_SEEDS = (7, 11)
+
+
+class _FailingShardExecutor(Executor):
+    """A two-job executor whose shards die after reading their block."""
+
+    jobs = 2
+
+    def __init__(self) -> None:
+        self.block_name = None
+
+    def stream(self, spec):
+        _plan, _config, _start, _stop, _seeds, name, _slots, _rows = (
+            spec.tasks[0]
+        )
+        self.block_name = name
+        # The block is live while shards run.
+        shared_memory.SharedMemory(name=name).close()
+        raise RuntimeError("shard worker died")
 
 
 def _weak_rejections(result) -> int:
@@ -286,6 +306,28 @@ class TestSharding:
         assert parallel.fleet == serial.fleet
         assert aggregate.fleet == FleetAggregate.from_summary(serial.fleet)
 
+    def test_failing_shard_still_releases_the_shared_block(self):
+        """The delivery-mask block is closed and unlinked even when a
+        shard fails mid-stream, and the failure reaches the caller."""
+        config = ScenarioConfig(
+            protocol="dap",
+            intervals=6,
+            receivers=4,
+            buffers=3,
+            attack_fraction=0.5,
+            seed=7,
+            engine="vectorized",
+        )
+        executor = _FailingShardExecutor()
+        with tracking(ResourceSanitizer()) as sanitizer:
+            with pytest.raises(RuntimeError, match="shard worker died"):
+                run_fleet_scenario(config, shards=2, executor=executor)
+        assert executor.block_name is not None
+        assert sanitizer.tracked == 1
+        assert sanitizer.leaks() == ()
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=executor.block_name)
+
 
 class TestBatchedReplay:
     """The hot path: batched MACs and the vectorized reservoir replay."""
@@ -327,6 +369,24 @@ class TestBatchedReplay:
         shuffled = dataclasses.replace(plan, intervals=plan.intervals[::-1])
         with pytest.raises(SimulationError):
             fleet._two_phase_precompute(shuffled)
+
+    @pytest.mark.parametrize("protocol", ["tesla", "multilevel"])
+    def test_authentic_mac_failure_is_a_simulation_error(
+        self, protocol, monkeypatch
+    ):
+        """An authentic record failing its MAC check breaks an internal
+        invariant; no config can cause it, so it is not a
+        ConfigurationError."""
+        monkeypatch.setattr(
+            fleet.MacScheme,
+            "verify_many",
+            lambda self, key, pairs: [False] * len(pairs),
+        )
+        config = ScenarioConfig(
+            protocol=protocol, intervals=6, receivers=3, engine="vectorized"
+        )
+        with pytest.raises(SimulationError, match="failed MAC verification"):
+            run_fleet_scenario(config)
 
     @pytest.mark.parametrize("protocol", ["dap", "multilevel"])
     def test_replay_batches_macs_not_single_pairs(self, protocol):

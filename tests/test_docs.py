@@ -93,3 +93,22 @@ class TestCrossReferences:
         text = read("README.md")
         for match in re.finditer(r"examples/(\w+\.py)", text):
             assert (ROOT / "examples" / match.group(1)).exists(), match.group(1)
+
+    def test_api_counter_table_lists_every_perf_name(self):
+        """Every constant in repro.perf.names has a row in the
+        docs/API.md counter table, under its constant and its value."""
+        from repro.perf import names
+
+        rows = set(
+            re.findall(
+                r"^\| `([A-Z_]+)` \| `([a-z_.]+)`",
+                read("docs/API.md"),
+                flags=re.MULTILINE,
+            )
+        )
+        constants = {
+            key: value for key, value in vars(names).items() if key.isupper()
+        }
+        assert constants
+        missing = set(constants.items()) - rows
+        assert not missing, f"docs/API.md counter table lacks {sorted(missing)}"
