@@ -1,11 +1,11 @@
-"""Perf counter and observation names: one constant per name.
+"""Perf counter, observation and timer names: one constant per name.
 
-Every instrumentation write (``incr``/``observe``) and every read
-(``counter``/``hit_rate``/``counters.get``) names its counter through
-these constants, so a misspelt name is an ``ImportError`` or
-``AttributeError`` instead of a counter that quietly reads zero. The
-values are the snapshot/JSON keys; the table in ``docs/API.md`` lists
-them with the sites that update them.
+Every instrumentation write (``incr``/``observe``/``timer``) and every
+read (``counter``/``hit_rate``/``counters.get``/``timers``) names its
+counter, observation or timer through these constants, so a misspelt
+name is an ``ImportError`` or ``AttributeError`` instead of a counter
+that quietly reads zero. The values are the snapshot/JSON keys; the
+table in ``docs/API.md`` lists them with the sites that update them.
 """
 
 #: One-way function applications (chain steps).
@@ -36,3 +36,11 @@ NET_SOAK_WALL_SECONDS = "net.soak_wall_seconds"
 NET_DATAGRAMS_DELIVERED = "net.datagrams_delivered"
 #: Datagrams the soak's lossy proxy dropped.
 NET_DATAGRAMS_DROPPED = "net.datagrams_dropped"
+#: Timer: fleet engine master draws and replay-plan build.
+SIM_FLEET_PLAN = "sim.fleet.plan"
+#: Timer: fleet engine bit-packed delivery mask.
+SIM_FLEET_MASK = "sim.fleet.mask"
+#: Timer: fleet engine shard replays, with their streaming fold.
+SIM_FLEET_REPLAY = "sim.fleet.replay"
+#: Timer: fleet engine summary reduction.
+SIM_FLEET_REDUCE = "sim.fleet.reduce"

@@ -7,8 +7,10 @@ receivers at once (a block-wise vectorized Markov transition over a
 ``(receivers,)`` Gilbert–Elliott state array, or one Bernoulli mask,
 bit-packed so the full delivery matrix costs one bit per decision),
 and the buffer/authentication state machines run as numpy over whole
-receiver blocks (two-phase) or as tight per-receiver loops over the
-delivered-slot indices (single- and multi-level) — no heapq, no
+receiver blocks: all at once for the two-phase family, slot by slot in
+lockstep for the multi-level family (every DES branch a row mask over
+the receivers that got the slot), and as tight per-receiver loops over
+the delivered-slot indices for the single-level family — no heapq, no
 per-delivery closures, and no per-record HMAC in the replays (all MAC and
 key-chain outcomes are decided up front by batched
 :meth:`~repro.crypto.mac.MacScheme.verify_many` tables and record
@@ -43,8 +45,9 @@ Exactness contract
   fleet evaluates them in any order. The two-phase replay draws every
   overflow offer of a receiver block in one ``uint64`` numpy call and
   keeps, per slot, the last accepted offer that targeted it; the
-  multi-level replay evaluates the same scalar draw inline, with the
-  CDM and data pools keyed by their pool tags as in the DES receiver;
+  multi-level replay draws one slot's overflow offers across the block
+  in one call, with the CDM and data pools keyed by their pool tags as
+  in the DES receiver;
 - forged bytes are replayed from the attacker stream in injection
   order, which is what makes every collision fallback exact.
 
@@ -74,10 +77,22 @@ exact-mirroring contract, which the parity tests pin per family).
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import groupby
 from multiprocessing import shared_memory
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any,
+    ContextManager,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -86,10 +101,6 @@ from repro.analysis.statistics import MeanEstimate, mean_estimate
 from repro.buffers.keyed import (
     CDM_POOL,
     DATA_POOL,
-    GAMMA,
-    MASK,
-    UNIT,
-    buffer_key,
     mix,
     mix_array,
     replacement_slots,
@@ -101,7 +112,15 @@ from repro.devtools.sanitizers.resources import release_resource, track_resource
 from repro.engine.executors import Executor
 from repro.engine.spec import ExperimentSpec
 from repro.errors import ConfigurationError, SimulationError
-from repro.perf.names import SIM_BROADCASTS, SIM_DELIVERIES, SIM_DROPS
+from repro.perf.names import (
+    SIM_BROADCASTS,
+    SIM_DELIVERIES,
+    SIM_DROPS,
+    SIM_FLEET_MASK,
+    SIM_FLEET_PLAN,
+    SIM_FLEET_REDUCE,
+    SIM_FLEET_REPLAY,
+)
 from repro.protocols import base as protocol_base
 from repro.protocols.dap import DapSender
 from repro.protocols.edrp import edrp_params
@@ -225,8 +244,8 @@ def _random_bits(rng: random.Random, nbytes: int) -> bytes:
 # ---------------------------------------------------------------------------
 # Replay plans: everything a shard needs, fully precomputed and picklable.
 # All cryptography (MAC verification, key-chain walks, hash pinning) is
-# folded into boolean tables here — the per-receiver replay loops do
-# list/dict work only.
+# folded into boolean tables here — the replays do array and list work
+# only.
 
 
 @dataclass(frozen=True)
@@ -1053,7 +1072,7 @@ def _replay_two_phase_block(
     if plan.reservoir:
         # Offer-major order: within one (receiver, run) a later array
         # position is a later offer, so the last accepted write to a
-        # slot is its last occurrence.
+        # slot is the largest position that targets it.
         o_c, o_r = np.nonzero(d_off & ~fill)
         bucket_keys = mix_array(
             np.asarray(seeds, dtype=np.uint64)[:, None] ^ pre.run_mixed[None, :]
@@ -1063,10 +1082,10 @@ def _replay_two_phase_block(
             bucket_keys[o_r, o_run], rank[o_c, o_r], capacity
         )
         slot = (o_r[accepted] * n_runs + o_run[accepted]) * capacity + victims
-        last, first_in_reverse = np.unique(slot[::-1], return_index=True)
-        fin.reshape(-1)[last] = pre.offer_sources[o_c[accepted]][::-1][
-            first_in_reverse
-        ]
+        latest = np.full(fin.size, -1, dtype=np.int32)
+        np.maximum.at(latest, slot, np.arange(slot.size, dtype=np.int32))
+        written = np.flatnonzero(latest >= 0)
+        fin.reshape(-1)[written] = pre.offer_sources[o_c[accepted]][latest[written]]
 
     # --- delivered reveals, receiver-major ---
     v_r, v_c = np.nonzero(np.ascontiguousarray(blk[pre.reveal_rows].T))
@@ -1209,9 +1228,8 @@ def _replay_single_level(
     out: Tuple[List[int], ...] = ([], [], [], [], [], [], [], [])
     (auth_c, lost_c, rejf_c, weak_c, disc_c, facc_c, recv_c, peak_c) = out
     for local in range(len(seeds)):
-        # keep_first buffering never draws, so the per-receiver RNG
-        # (already consumed from the master stream) goes untouched —
-        # exactly as in the DES.
+        # keep_first buffering never draws, so the receiver's draw key
+        # goes unused — exactly as in the DES.
         delivered_slots = np.nonzero(delivered[:, local])[0].tolist()
         # interval -> [record sources, in arrival order]
         buckets: Dict[int, List[int]] = {}
@@ -1288,235 +1306,339 @@ def _replay_single_level(
     return out  # type: ignore[return-value]
 
 
+#: Receiver-block width for the multi-level lockstep replay — bounds the
+#: per-block reservoir tables (levels x capacity x receivers entries).
+_LOCKSTEP_BLOCK = 2048
+
+
 def _replay_multilevel(
     plan: _MultiLevelPlan,
     config: ScenarioConfig,
-    start: int,
     seeds: Sequence[int],
     delivered: np.ndarray,
 ) -> _Counts:
-    kinds = plan.kinds
-    index = plan.index
-    sources = plan.sources
-    gate = plan.gate
-    disc_index = plan.disc_index
-    commitment_present = plan.commitment_present
-    has_next_hash = plan.has_next_hash
-    forged_mac_valid = plan.forged_mac_valid
-    forged_pin_match = plan.forged_pin_match
-    lph = plan.low_per_high
-    gap_bound = plan.high_gap_bound
-    anchor_offset = plan.anchor_offset
-    cdm_capacity = config.buffers
-    data_capacity = LOW_BUFFER_CAPACITY
+    """Multi-level μTESLA / EFTP / EDRP, slot by slot over receiver blocks.
 
+    One Python pass over the plan's slots per block of
+    :data:`_LOCKSTEP_BLOCK` receivers: each slot applies the DES
+    receiver's branch for its packet kind to the receivers that got it,
+    as row masks over :class:`_MultiLevelLockstep`'s arrays. Receivers
+    never interact, so running them in lockstep changes nothing they
+    see. Reservoir overflows draw
+    :func:`~repro.buffers.keyed.replacement_slots` on the same
+    pool-tagged buffer keys as the DES.
+    """
     out: Tuple[List[int], ...] = ([], [], [], [], [], [], [], [])
-    (auth_c, lost_c, rejf_c, weak_c, disc_c, facc_c, recv_c, peak_c) = out
-    for local, seed in enumerate(seeds):
-        cdm_key = seed ^ CDM_POOL
-        data_key = seed ^ DATA_POOL
-        delivered_slots = np.nonzero(delivered[:, local])[0].tolist()
-
-        high_trusted = 0
-        cdm_auth: Set[int] = set()
-        pinned: Set[int] = set()
-        # Chain 1's commitment is installed at bootstrap, like the DES.
-        commitments: Set[int] = {1}
-        chains_seen: Set[int] = {1}
-        trusted_sub: Dict[int, int] = {1: 0}
-        pending: Dict[int, Set[int]] = {}
-        # high -> [seen, held entries, draw key]; entry is -1 (authentic
-        # CDM) or a forged id. flat -> [seen, held source ids, draw key]
-        # for data records. A bucket's draw key is computed on its first
-        # overflow.
-        cdm_buckets: Dict[int, List[Any]] = {}
-        data_buckets: Dict[int, List[Any]] = {}
-        cdm_stored = cdm_peak = 0
-        data_stored = data_peak = 0
-        n_auth = n_weak = n_discarded = 0
-
-        def flush_chain(chain: int, counted: bool) -> None:
-            """Mirror of ``_flush_chain_data``: release (always) and
-            count (only on emitted paths) verified records."""
-            nonlocal data_stored, n_auth
-            ts = trusted_sub.get(chain, 0)
-            if ts < 1:
-                return
-            lo = (chain - 1) * lph + 1
-            hi = lo - 1 + ts
-            flushable = [f for f in data_buckets if lo <= f <= hi]
-            flushable.sort()
-            for flat in flushable:
-                bucket = data_buckets.pop(flat)
-                held = bucket[1]
-                data_stored -= len(held)
-                if not counted:
-                    continue
-                seen: Set[int] = set()
-                for source in held:
-                    if source in seen:
-                        continue
-                    seen.add(source)
-                    # Data records are all authentic (the multi-level
-                    # attacker forges CDMs); batched verify_many in the
-                    # plan build proved each verifies under its key.
-                    n_auth += 1
-
-        def set_commitment(chain: int, counted: bool) -> None:
-            """Mirror of ``_set_commitment`` with true commitment bytes:
-            replaying the pending (authentic) disclosures anchors the
-            chain at its highest pending sub-interval."""
-            if chain in commitments:
-                return
-            commitments.add(chain)
-            subs = pending.pop(chain, None)
-            trusted_sub[chain] = max(subs) if subs else 0
-            flush_chain(chain, counted)
-
-        def accept_cdm(high: int) -> None:
-            """Mirror of ``_accept_cdm`` for authentic CDMs — the events
-            it returns are discarded at every DES call site, so the
-            downstream flush is state-only (counted=False)."""
-            if high in cdm_auth:
-                return
-            cdm_auth.add(high)
-            if has_next_hash.get(high, False):
-                pinned.add(high + 1)
-            if commitment_present.get(high, False):
-                set_commitment(high + 1, counted=False)
-
-        def handle_high_disclosure(di: int) -> None:
-            """Mirror of ``_handle_high_disclosure`` for the authentic
-            high-key disclosures CDMs piggyback."""
-            nonlocal high_trusted, cdm_stored
-            if di < 1 or di < high_trusted or di - high_trusted > gap_bound:
-                return
-            high_trusted = di
-            releasable = [h for h in cdm_buckets if h <= high_trusted]
-            releasable.sort()
-            for high in releasable:
-                bucket = cdm_buckets.pop(high)
-                held = bucket[1]
-                cdm_stored -= len(held)
-                if high in cdm_auth:
-                    continue
-                for entry in held:
-                    if entry < 0:
-                        accept_cdm(high)
-                        break
-                    if forged_mac_valid[entry]:
-                        raise SimulationError(
-                            "forged CDM passed MAC verification (2^-80"
-                            " collision) — replay cannot mirror a"
-                            " corrupted commitment"
-                        )
-            # key_chain_recovery is unconditionally on for the catalog
-            # parameterisations (multilevel/eftp/edrp all keep the
-            # default True) — recovered commitments are the true ones.
-            for chain in sorted(chains_seen):
-                if chain in commitments:
-                    continue
-                if chain + anchor_offset > high_trusted:
-                    continue
-                set_commitment(chain, counted=True)
-
-        for b in delivered_slots:
-            kind = kinds[b]
-            if kind == _CDM:
-                high = index[b]
-                forged_id = sources[b]
-                chains_seen.add(high + 1)
-                if high not in cdm_auth:
-                    accepted = False
-                    if high in pinned:
-                        if forged_id < 0:
-                            accept_cdm(high)
-                            accepted = True
-                        elif forged_pin_match[forged_id]:
-                            raise SimulationError(
-                                "forged CDM matched the EDRP hash pin"
-                                " (2^-80 collision) — replay cannot mirror"
-                                " a corrupted commitment"
-                            )
-                    if not accepted and gate[b]:
-                        bucket = cdm_buckets.get(high)
-                        if bucket is None:
-                            bucket = [0, [], None]
-                            cdm_buckets[high] = bucket
-                        bucket[0] += 1
-                        held = bucket[1]
-                        entry = -1 if forged_id < 0 else forged_id
-                        if len(held) < cdm_capacity:
-                            held.append(entry)
-                            cdm_stored += 1
-                            if cdm_stored > cdm_peak:
-                                cdm_peak = cdm_stored
-                        else:
-                            # Algorithm 2 under the keyed draws of
-                            # keyed.replacement_slot, inlined.
-                            k = bucket[0]
-                            bkey = bucket[2]
-                            if bkey is None:
-                                bkey = bucket[2] = buffer_key(cdm_key, high)
-                            u = mix((bkey + (k << 1) * GAMMA) & MASK)
-                            if (u >> 11) * UNIT < cdm_capacity / k:
-                                u = mix((bkey + ((k << 1) | 1) * GAMMA) & MASK)
-                                held[int((u >> 11) * UNIT * cdm_capacity)] = entry
-                if forged_id < 0 and disc_index[b] >= 1:
-                    handle_high_disclosure(disc_index[b])
-            elif kind == _DATA:
-                flat = index[b]
-                chain = (flat - 1) // lph + 1
-                chains_seen.add(chain)
-                if not gate[b]:
-                    n_discarded += 1
-                    continue
-                bucket = data_buckets.get(flat)
-                if bucket is None:
-                    bucket = [0, [], None]
-                    data_buckets[flat] = bucket
-                bucket[0] += 1
-                held = bucket[1]
-                if len(held) < data_capacity:
-                    held.append(sources[b])
-                    data_stored += 1
-                    if data_stored > data_peak:
-                        data_peak = data_stored
-                else:
-                    k = bucket[0]
-                    bkey = bucket[2]
-                    if bkey is None:
-                        bkey = bucket[2] = buffer_key(data_key, flat)
-                    u = mix((bkey + (k << 1) * GAMMA) & MASK)
-                    if (u >> 11) * UNIT < data_capacity / k:
-                        u = mix((bkey + ((k << 1) | 1) * GAMMA) & MASK)
-                        held[int((u >> 11) * UNIT * data_capacity)] = sources[b]
-                # Every other bucket inside the chain's trusted range was
-                # flushed when the range last grew, so only this record's
-                # own sub-interval can be flushable now.
-                if (flat - 1) % lph + 1 <= trusted_sub.get(chain, 0):
-                    flush_chain(chain, counted=True)
-            else:  # _DISC
-                flat = index[b]
-                chain = (flat - 1) // lph + 1
-                sub = (flat - 1) % lph + 1
-                chains_seen.add(chain)
-                if chain not in commitments:
-                    pending.setdefault(chain, set()).add(sub)
-                elif sub < trusted_sub.get(chain, 0):
-                    n_weak += 1
-                else:
-                    trusted_sub[chain] = sub
-                    flush_chain(chain, counted=True)
-        auth_c.append(n_auth)
-        lost_c.append(0)
-        rejf_c.append(0)
-        weak_c.append(n_weak)
-        disc_c.append(n_discarded)
-        facc_c.append(0)
-        recv_c.append(len(delivered_slots))
-        peak_c.append(cdm_peak * _CDM_BITS + data_peak * _RECORD_BITS)
+    for b0 in range(0, len(seeds), _LOCKSTEP_BLOCK):
+        b1 = min(b0 + _LOCKSTEP_BLOCK, len(seeds))
+        counts = _MultiLevelLockstep(plan, config, seeds[b0:b1]).replay(
+            delivered[:, b0:b1]
+        )
+        for column, values in zip(out, counts):
+            column.extend(values)
     return out  # type: ignore[return-value]
+
+
+class _MultiLevelLockstep:
+    """One receiver block's multi-level state, mirroring the DES receiver.
+
+    Every table is indexed ``[level, ..., receiver]``, where a level is
+    a high interval (CDM reservoir, ``cdm_auth``, ``pinned``) or a chain
+    (commitment, trusted sub-interval, pending disclosure maximum, data
+    reservoirs by ``[chain, sub - 1]``) — a slot's scalar level then
+    selects contiguous receiver rows. A reservoir holds ``seen`` offers
+    since it was (re)created; its first ``min(seen, capacity)`` slots are
+    live. CDM entries are ``-1`` (authentic) or a forged-CDM id, data
+    entries are message sources.
+    """
+
+    def __init__(
+        self, plan: _MultiLevelPlan, config: ScenarioConfig, seeds: Sequence[int]
+    ) -> None:
+        nb = len(seeds)
+        lph = plan.low_per_high
+        top_high = max(
+            (i for kind, i in zip(plan.kinds, plan.index) if kind == _CDM), default=0
+        )
+        top_flat = max(
+            (i for kind, i in zip(plan.kinds, plan.index) if kind != _CDM), default=1
+        )
+        # Pins and commitments carried by CDM_h name level h + 1.
+        levels = max(top_high + 2, (top_flat - 1) // lph + 2)
+        self.plan = plan
+        self.lph = lph
+        self.cdm_capacity = config.buffers
+        self.cdm_slots = np.arange(config.buffers)
+        self.data_slots = np.arange(LOW_BUFFER_CAPACITY)
+        self.subs = np.arange(lph)
+        self.forged_mac_valid = np.array(plan.forged_mac_valid + [False])
+        self.has_next_hash = np.zeros(levels, dtype=bool)
+        self.commitment_present = np.zeros(levels, dtype=bool)
+        for high, flag in plan.has_next_hash.items():
+            self.has_next_hash[high] = flag
+        for high, flag in plan.commitment_present.items():
+            self.commitment_present[high] = flag
+
+        keys = np.asarray(seeds, dtype=np.uint64)
+        self.cdm_pool = keys ^ np.uint64(CDM_POOL)
+        self.data_pool = keys ^ np.uint64(DATA_POOL)
+        # The reservoirs are the bulk of a block's state: hold entries in
+        # the narrowest signed type that fits -1 and every id.
+        top_source = max(
+            (i for kind, i in zip(plan.kinds, plan.sources) if kind == _DATA),
+            default=0,
+        )
+        self.cdm_seen = np.zeros((levels, nb), dtype=np.int32)
+        self.cdm_held = np.zeros(
+            (levels, config.buffers, nb),
+            dtype=np.min_scalar_type(-1 - len(plan.forged_mac_valid)),
+        )
+        self.data_seen = np.zeros((levels, lph, nb), dtype=np.int32)
+        self.data_held = np.zeros(
+            (levels, lph, LOW_BUFFER_CAPACITY, nb),
+            dtype=np.min_scalar_type(-1 - top_source),
+        )
+        self.cdm_auth = np.zeros((levels, nb), dtype=bool)
+        self.pinned = np.zeros((levels, nb), dtype=bool)
+        # Chain 1's commitment is installed at bootstrap, like the DES.
+        self.commitments = np.zeros((levels, nb), dtype=bool)
+        self.commitments[1] = True
+        self.chains_seen = self.commitments.copy()
+        self.trusted_sub = np.zeros((levels, nb), dtype=np.int32)
+        self.pending_max = np.zeros((levels, nb), dtype=np.int32)
+        self.high_trusted = np.zeros(nb, dtype=np.int64)
+        self.cdm_stored = np.zeros(nb, dtype=np.int64)
+        self.cdm_peak = np.zeros(nb, dtype=np.int64)
+        self.data_stored = np.zeros(nb, dtype=np.int64)
+        self.data_peak = np.zeros(nb, dtype=np.int64)
+        self.n_auth = np.zeros(nb, dtype=np.int64)
+        self.n_weak = np.zeros(nb, dtype=np.int64)
+        self.n_discarded = np.zeros(nb, dtype=np.int64)
+
+    def replay(self, blk: np.ndarray) -> Tuple[List[int], ...]:
+        plan = self.plan
+        for b, (kind, gate) in enumerate(zip(plan.kinds, plan.gate)):
+            rows = np.flatnonzero(blk[b])
+            if not rows.size:
+                continue
+            if kind == _CDM:
+                self._cdm(b, gate, rows)
+            else:
+                flat = plan.index[b]
+                chain = (flat - 1) // self.lph + 1
+                self.chains_seen[chain, rows] = True
+                if kind == _DATA:
+                    self._data(b, gate, chain, (flat - 1) % self.lph, rows)
+                else:
+                    self._disclosure(chain, (flat - 1) % self.lph + 1, rows)
+        nb = blk.shape[1]
+        peak = self.cdm_peak * _CDM_BITS + self.data_peak * _RECORD_BITS
+        return (
+            self.n_auth.tolist(),
+            [0] * nb,
+            [0] * nb,
+            self.n_weak.tolist(),
+            self.n_discarded.tolist(),
+            [0] * nb,
+            blk.sum(axis=0, dtype=np.int64).tolist(),
+            peak.tolist(),
+        )
+
+    def _cdm(self, b: int, gate: bool, rows: np.ndarray) -> None:
+        plan = self.plan
+        high = plan.index[b]
+        forged_id = plan.sources[b]
+        self.chains_seen[high + 1, rows] = True
+        open_rows = rows[~self.cdm_auth[high, rows]]
+        pinned = self.pinned[high, open_rows]
+        if forged_id < 0:
+            # EDRP's pin fast path: an authentic CDM matching the pin
+            # is accepted outright, never buffered.
+            if pinned.any():
+                self._accept(np.full(int(pinned.sum()), high), open_rows[pinned])
+                open_rows = open_rows[~pinned]
+        elif plan.forged_pin_match[forged_id] and pinned.any():
+            raise SimulationError(
+                "forged CDM matched the EDRP hash pin (2^-80 collision)"
+                " — replay cannot mirror a corrupted commitment"
+            )
+        if gate and open_rows.size:
+            _offer(
+                self.cdm_seen[high],
+                self.cdm_held[high],
+                self.cdm_pool,
+                high,
+                open_rows,
+                forged_id,
+                self.cdm_capacity,
+                self.cdm_stored,
+                self.cdm_peak,
+            )
+        if forged_id < 0 and plan.disc_index[b] >= 1:
+            self._high_disclosure(plan.disc_index[b], rows)
+
+    def _data(
+        self, b: int, gate: bool, chain: int, sub0: int, rows: np.ndarray
+    ) -> None:
+        if not gate:
+            self.n_discarded[rows] += 1
+            return
+        _offer(
+            self.data_seen[chain, sub0],
+            self.data_held[chain, sub0],
+            self.data_pool,
+            (chain - 1) * self.lph + sub0 + 1,
+            rows,
+            self.plan.sources[b],
+            LOW_BUFFER_CAPACITY,
+            self.data_stored,
+            self.data_peak,
+        )
+        # A record for an already-trusted sub-interval (a late packet)
+        # is verified at once, as in the DES.
+        due = rows[self.trusted_sub[chain, rows] > sub0]
+        if due.size:
+            self._flush(np.full(due.size, chain), due, counted=True)
+
+    def _disclosure(self, chain: int, sub: int, rows: np.ndarray) -> None:
+        committed = self.commitments[chain, rows]
+        waiting = rows[~committed]
+        self.pending_max[chain, waiting] = np.maximum(
+            self.pending_max[chain, waiting], sub
+        )
+        rows = rows[committed]
+        weak = self.trusted_sub[chain, rows] > sub
+        self.n_weak[rows[weak]] += 1
+        rows = rows[~weak]
+        self.trusted_sub[chain, rows] = sub
+        self._flush(np.full(rows.size, chain), rows, counted=True)
+
+    def _flush(self, chains: np.ndarray, rows: np.ndarray, counted: bool) -> None:
+        """Mirror of ``_flush_chain_data`` per (chain, receiver) pair:
+        release (always) and count (only on emitted paths) the records
+        buffered for the chain's trusted sub-intervals, one authentication
+        per distinct source — record identity is the (message, MAC)
+        fingerprint the DES deduplicates on."""
+        if not rows.size:
+            return
+        seen = self.data_seen[chains, :, rows]
+        due = (seen > 0) & (self.subs < self.trusted_sub[chains, rows][:, None])
+        pair, sub0 = np.nonzero(due)
+        if not pair.size:
+            return
+        chains, rows = chains[pair], rows[pair]
+        held = np.minimum(seen[pair, sub0], LOW_BUFFER_CAPACITY)
+        np.subtract.at(self.data_stored, rows, held)
+        self.data_seen[chains, sub0, rows] = 0
+        if not counted:
+            return
+        # Data records are all authentic (the multi-level attacker
+        # forges CDMs); batched verify_many in the plan build proved
+        # each verifies under its key.
+        sources = np.where(
+            self.data_slots < held[:, None],
+            self.data_held[chains, sub0, :, rows],
+            -1,
+        )
+        sources.sort(axis=1)
+        distinct = (sources[:, 0] >= 0) + (
+            (sources[:, 1:] != sources[:, :-1]) & (sources[:, 1:] >= 0)
+        ).sum(axis=1)
+        np.add.at(self.n_auth, rows, distinct)
+
+    def _commit(self, chains: np.ndarray, rows: np.ndarray, counted: bool) -> None:
+        """Mirror of ``_set_commitment`` with true commitment bytes:
+        replaying the pending (authentic) disclosures anchors the chain
+        at its highest pending sub-interval."""
+        fresh = ~self.commitments[chains, rows]
+        chains, rows = chains[fresh], rows[fresh]
+        self.commitments[chains, rows] = True
+        self.trusted_sub[chains, rows] = self.pending_max[chains, rows]
+        self.pending_max[chains, rows] = 0
+        self._flush(chains, rows, counted)
+
+    def _accept(self, highs: np.ndarray, rows: np.ndarray) -> None:
+        """Mirror of ``_accept_cdm`` for authentic CDMs — the events it
+        returns are discarded at every DES call site, so the downstream
+        flush is state-only (uncounted)."""
+        self.cdm_auth[highs, rows] = True
+        pins = self.has_next_hash[highs]
+        self.pinned[highs[pins] + 1, rows[pins]] = True
+        commits = self.commitment_present[highs]
+        self._commit(highs[commits] + 1, rows[commits], counted=False)
+
+    def _high_disclosure(self, disclosed: int, rows: np.ndarray) -> None:
+        """Mirror of ``_handle_high_disclosure`` for the authentic
+        high-key disclosures CDMs piggyback."""
+        plan = self.plan
+        trusted = self.high_trusted[rows]
+        rows = rows[(trusted <= disclosed) & (disclosed - trusted <= plan.high_gap_bound)]
+        if not rows.size:
+            return
+        self.high_trusted[rows] = disclosed
+        seen = self.cdm_seen[: disclosed + 1, rows]
+        highs, column = np.nonzero(seen)
+        if highs.size:
+            released = rows[column]
+            held = np.minimum(seen[highs, column], self.cdm_capacity)
+            np.subtract.at(self.cdm_stored, released, held)
+            self.cdm_seen[highs, released] = 0
+            open_ = ~self.cdm_auth[highs, released]
+            highs, released, held = highs[open_], released[open_], held[open_]
+            entries = self.cdm_held[highs, :, released]
+            live = self.cdm_slots < held[:, None]
+            authentic = live & (entries < 0)
+            found = authentic.any(axis=1)
+            # The DES verifies held entries in order up to the first
+            # authentic one; a forged entry passing is the 2^-80
+            # collision path.
+            first = np.where(found, authentic.argmax(axis=1), self.cdm_capacity)
+            ahead = live & (self.cdm_slots < first[:, None]) & (entries >= 0)
+            if self.forged_mac_valid[np.where(ahead, entries, -1)][ahead].any():
+                raise SimulationError(
+                    "forged CDM passed MAC verification (2^-80 collision)"
+                    " — replay cannot mirror a corrupted commitment"
+                )
+            self._accept(highs[found], released[found])
+        # key_chain_recovery is unconditionally on for the catalog
+        # parameterisations (multilevel/eftp/edrp all keep the default
+        # True) — recovered commitments are the true ones.
+        last = disclosed - plan.anchor_offset
+        if last >= 1:
+            due = (
+                self.chains_seen[1 : last + 1, rows]
+                & ~self.commitments[1 : last + 1, rows]
+            )
+            chains, column = np.nonzero(due)
+            self._commit(chains + 1, rows[column], counted=True)
+
+
+def _offer(
+    seen: np.ndarray,
+    held: np.ndarray,
+    pool: np.ndarray,
+    index: int,
+    rows: np.ndarray,
+    entry: int,
+    capacity: int,
+    stored: np.ndarray,
+    peak: np.ndarray,
+) -> None:
+    """Algorithm 2 for the reservoir of interval ``index`` over distinct
+    receivers: ``seen`` and the pool keys ``pool`` are ``(receivers,)``
+    rows, ``held`` the reservoir's ``(capacity, receivers)`` slots."""
+    k = seen[rows] + 1
+    seen[rows] = k
+    free = k <= capacity
+    filled = rows[free]
+    held[k[free] - 1, filled] = entry
+    stored[filled] += 1
+    np.maximum(peak, stored, out=peak)
+    if not free.all():
+        over = rows[~free]
+        keys = mix_array(pool[over] ^ np.uint64(mix(index)))
+        accepted, victims = replacement_slots(keys, k[~free], capacity)
+        held[victims, over[accepted]] = entry
 
 
 def _replay_span(
@@ -1532,7 +1654,7 @@ def _replay_span(
         return _replay_two_phase(plan, config, start, seeds, delivered)
     if isinstance(plan, _SingleLevelPlan):
         return _replay_single_level(plan, config, seeds, delivered)
-    return _replay_multilevel(plan, config, start, seeds, delivered)
+    return _replay_multilevel(plan, config, seeds, delivered)
 
 
 # ---------------------------------------------------------------------------
@@ -1618,78 +1740,25 @@ class _CountAccumulator:
         return self._aggregate
 
 
-def run_fleet_scenario(
+def _span(name: str) -> ContextManager[None]:
+    """``perf.ACTIVE.timer(name)``, or a no-op while instrumentation is off."""
+    active = perf.ACTIVE
+    return nullcontext() if active is None else active.timer(name)
+
+
+def _replay_shards(
+    plan: _Plan,
     config: ScenarioConfig,
-    *,
-    shards: int = 1,
-    executor: Optional[Executor] = None,
-    summary: str = "nodes",
-) -> ScenarioResult:
-    """Vectorized equivalent of :func:`~repro.sim.scenario.run_scenario`.
-
-    Args:
-        config: the scenario to run (any catalog protocol family).
-        shards: receiver-axis shards (``shard_plan`` ranges; clamped to
-            the receiver count). With ``shards == 1`` the replay runs
-            inline.
-        executor: optional :class:`~repro.engine.executors.Executor`
-            to fan shards out on. Parallel executors receive the
-            bit-packed delivery mask via ``multiprocessing``
-            shared memory (one copy for the whole pool); serial (or
-            no) executors replay shard slices in-process. Results are
-            folded as they stream in, whichever order they finish.
-        summary: ``"nodes"`` for an exact per-receiver
-            :class:`~repro.sim.metrics.FleetSummary` (byte-identical to
-            the DES), ``"aggregate"`` for a fixed-size
-            :class:`~repro.sim.metrics.FleetAggregate` whose memory
-            does not grow with the fleet.
-
-    Raises:
-        ConfigurationError: for protocol families outside
-            :data:`SUPPORTED_PROTOCOLS` (callers should fall back to
-            the DES — ``run_scenario`` does this automatically), or
-            invalid ``shards`` / ``summary`` values.
-    """
-    if not supports(config):
-        raise ConfigurationError(
-            f"vectorized engine does not support protocol {config.protocol!r};"
-            f" supported: {SUPPORTED_PROTOCOLS}"
-        )
-    if summary not in ("nodes", "aggregate"):
-        raise ConfigurationError(
-            f"summary must be 'nodes' or 'aggregate', got {summary!r}"
-        )
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
-    shards = min(shards, config.receivers)
-
-    # Master draw order mirrors run_scenario + the family builders.
-    # medium_rng stays unwrapped: _packed_delivery_mask consumes its
-    # getstate() to seed the numpy mirror, which a tracing wrapper
-    # would intercept without seeing the numpy-side draws.
-    rng = traced_rng(random.Random(config.seed), "master")
-    medium_rng = random.Random(rng.getrandbits(64))
-    schedule = IntervalSchedule(0.0, config.interval_duration)
-    sync = LooseTimeSync(config.max_offset)
-    workload = workload_for(config)
-    receiver_seeds = [rng.getrandbits(64) for _ in range(config.receivers)]
-    # run_scenario draws the attacker seed only when the attack is on.
-    attacker_rng = (
-        traced_rng(random.Random(rng.getrandbits(64)), "attacker")
-        if config.attack_fraction > 0.0
-        # reprolint: disable=RPL002 -- never drawn from: attack is off, and taking a master-seed draw here would break DES draw-order parity
-        else random.Random()
-    )
-
-    plan = _build_plan(config, schedule, sync, workload, attacker_rng)
-    slots = len(plan.times)
-    packed, delivered_any, delivered_total = _packed_delivery_mask(
-        config, slots, medium_rng
-    )
-
-    accumulator = _CountAccumulator(
-        config.receivers, plan.sent_authentic, summary
-    )
+    shards: int,
+    executor: Optional[Executor],
+    receiver_seeds: Sequence[int],
+    packed: np.ndarray,
+    accumulator: _CountAccumulator,
+) -> None:
+    """Replay every receiver shard and fold its counts as it arrives:
+    on ``executor`` through a shared-memory copy of ``packed`` when it
+    runs jobs in parallel, inline otherwise."""
+    slots = packed.shape[0]
     spans = shard_plan(config.receivers, shards)
     parallel = executor is not None and executor.jobs > 1 and len(spans) > 1
     if parallel:
@@ -1739,7 +1808,87 @@ def run_fleet_scenario(
                 plan, config, start, receiver_seeds[start:stop], delivered
             )
             accumulator.fold(start, stop, counts)
-    fleet = accumulator.result(config.receivers)
+
+
+def run_fleet_scenario(
+    config: ScenarioConfig,
+    *,
+    shards: int = 1,
+    executor: Optional[Executor] = None,
+    summary: str = "nodes",
+) -> ScenarioResult:
+    """Vectorized equivalent of :func:`~repro.sim.scenario.run_scenario`.
+
+    Args:
+        config: the scenario to run (any catalog protocol family).
+        shards: receiver-axis shards (``shard_plan`` ranges; clamped to
+            the receiver count). With ``shards == 1`` the replay runs
+            inline.
+        executor: optional :class:`~repro.engine.executors.Executor`
+            to fan shards out on. Parallel executors receive the
+            bit-packed delivery mask via ``multiprocessing``
+            shared memory (one copy for the whole pool); serial (or
+            no) executors replay shard slices in-process. Results are
+            folded as they stream in, whichever order they finish.
+        summary: ``"nodes"`` for an exact per-receiver
+            :class:`~repro.sim.metrics.FleetSummary` (byte-identical to
+            the DES), ``"aggregate"`` for a fixed-size
+            :class:`~repro.sim.metrics.FleetAggregate` whose memory
+            does not grow with the fleet.
+
+    Raises:
+        ConfigurationError: for protocol families outside
+            :data:`SUPPORTED_PROTOCOLS` (callers should fall back to
+            the DES — ``run_scenario`` does this automatically), or
+            invalid ``shards`` / ``summary`` values.
+    """
+    if not supports(config):
+        raise ConfigurationError(
+            f"vectorized engine does not support protocol {config.protocol!r};"
+            f" supported: {SUPPORTED_PROTOCOLS}"
+        )
+    if summary not in ("nodes", "aggregate"):
+        raise ConfigurationError(
+            f"summary must be 'nodes' or 'aggregate', got {summary!r}"
+        )
+    if shards < 1:
+        raise ConfigurationError(f"shards must be >= 1, got {shards}")
+    shards = min(shards, config.receivers)
+
+    # Master draw order mirrors run_scenario + the family builders.
+    # medium_rng stays unwrapped: _packed_delivery_mask consumes its
+    # getstate() to seed the numpy mirror, which a tracing wrapper
+    # would intercept without seeing the numpy-side draws.
+    with _span(SIM_FLEET_PLAN):
+        rng = traced_rng(random.Random(config.seed), "master")
+        medium_rng = random.Random(rng.getrandbits(64))
+        schedule = IntervalSchedule(0.0, config.interval_duration)
+        sync = LooseTimeSync(config.max_offset)
+        workload = workload_for(config)
+        receiver_seeds = [rng.getrandbits(64) for _ in range(config.receivers)]
+        # run_scenario draws the attacker seed only when the attack is on.
+        attacker_rng = (
+            traced_rng(random.Random(rng.getrandbits(64)), "attacker")
+            if config.attack_fraction > 0.0
+            # reprolint: disable=RPL002 -- never drawn from: attack is off, and taking a master-seed draw here would break DES draw-order parity
+            else random.Random()
+        )
+        plan = _build_plan(config, schedule, sync, workload, attacker_rng)
+    slots = len(plan.times)
+    with _span(SIM_FLEET_MASK):
+        packed, delivered_any, delivered_total = _packed_delivery_mask(
+            config, slots, medium_rng
+        )
+
+    accumulator = _CountAccumulator(
+        config.receivers, plan.sent_authentic, summary
+    )
+    with _span(SIM_FLEET_REPLAY):
+        _replay_shards(
+            plan, config, shards, executor, receiver_seeds, packed, accumulator
+        )
+    with _span(SIM_FLEET_REDUCE):
+        fleet = accumulator.result(config.receivers)
 
     total_bits = plan.legitimate_bits + plan.forged_bits
     forged_fraction = plan.forged_bits / total_bits if total_bits else 0.0

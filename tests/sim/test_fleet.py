@@ -6,8 +6,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
+import time
 from multiprocessing import shared_memory
 
+import numpy as np
 import pytest
 
 from repro.devtools.sanitizers.resources import ResourceSanitizer, tracking
@@ -16,9 +19,11 @@ from repro.engine.executors import Executor, ParallelExecutor
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.harness import shard_sizes
 from repro.protocols import base as protocol_base
-from repro.scenarios.families import ALL_PROTOCOLS
+from repro.protocols.multilevel import LOW_BUFFER_CAPACITY
+from repro.scenarios.families import ALL_PROTOCOLS, MULTI_LEVEL
 from repro.sim import fleet
 from repro import perf
+from repro.perf import names
 from repro.crypto.kernels import fast_umac
 from repro.sim.fleet import (
     EquivalenceReport,
@@ -430,6 +435,204 @@ class TestBatchedReplay:
         assert abs(
             fast.attack_success_rate - faithful.attack_success_rate
         ) <= 0.05
+
+
+class _BranchProbe:
+    """Records which multi-level replay branches fleet runs reach.
+
+    Wraps the lockstep replay's reservoir offer and its ``_accept`` /
+    ``_flush`` steps and calls through to them unchanged. Reservoirs
+    are told apart by capacity, so the sweep keeps ``buffers`` below
+    ``LOW_BUFFER_CAPACITY``.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.reached = set()
+        offer = fleet._offer
+        accept = fleet._MultiLevelLockstep._accept
+        flush = fleet._MultiLevelLockstep._flush
+
+        def probed_offer(seen, held, pool, index, rows, entry, capacity, *rest):
+            pool_name = "data" if capacity == LOW_BUFFER_CAPACITY else "cdm"
+            if (seen[rows] >= capacity).any():
+                self.reached.add(f"{pool_name} overflow")
+            offer(seen, held, pool, index, rows, entry, capacity, *rest)
+
+        def probed_accept(replay, highs, rows):
+            if rows.size and sys._getframe(1).f_code.co_name == "_cdm":
+                self.reached.add("pinned acceptance")
+            accept(replay, highs, rows)
+
+        def probed_flush(replay, chains, rows, counted):
+            before = int(replay.data_stored.sum())
+            flush(replay, chains, rows, counted)
+            if not counted and int(replay.data_stored.sum()) < before:
+                self.reached.add("uncounted flush")
+
+        monkeypatch.setattr(fleet, "_offer", probed_offer)
+        monkeypatch.setattr(fleet._MultiLevelLockstep, "_accept", probed_accept)
+        monkeypatch.setattr(fleet._MultiLevelLockstep, "_flush", probed_flush)
+
+
+def _random_multilevel_config(rng: random.Random, seed: int) -> ScenarioConfig:
+    bursty = rng.random() < 0.5
+    return ScenarioConfig(
+        protocol=rng.choice(MULTI_LEVEL),
+        intervals=rng.randint(6, 24),
+        receivers=rng.randint(2, 6),
+        buffers=rng.randint(1, 6),
+        cdm_copies=rng.randint(1, 10),
+        low_per_high=rng.randint(2, 6),
+        attack_fraction=rng.choice([0.0, rng.uniform(0.1, 0.95), 0.95]),
+        loss_probability=rng.uniform(0.0, 0.5),
+        loss_mean_burst=rng.uniform(1.5, 6.0) if bursty else None,
+        disclosure_delay=rng.choice([2, 3]),
+        packets_per_interval=rng.choice([1, 2, 9, 12]),
+        seed=seed,
+        engine="vectorized",
+    )
+
+
+class TestMultiLevelLockstep:
+    """The slot-lockstep replay of multilevel / eftp / edrp."""
+
+    def test_random_configs_match_the_des_across_branches(self, monkeypatch):
+        """Sixty seeded configs, byte-identical to the DES, between them
+        reaching CDM and data-bucket overflow, EDRP pinned acceptance
+        and the uncounted flush after a CDM commitment. The branches no
+        config reaches are exercised on a crafted plan below."""
+        probe = _BranchProbe(monkeypatch)
+        rng = random.Random(20240615)
+        for seed in range(60):
+            config = _random_multilevel_config(rng, seed)
+            result = _assert_identical(config)
+            assert result.fleet.total_forged_accepted == 0, config
+        assert probe.reached == {
+            "cdm overflow",
+            "data overflow",
+            "pinned acceptance",
+            "uncounted flush",
+        }
+
+    def test_receiver_blocks_do_not_change_the_replay(self, monkeypatch):
+        """Ten receivers in blocks of three: the last block is short,
+        and every block starts its state afresh."""
+        monkeypatch.setattr(fleet, "_LOCKSTEP_BLOCK", 3)
+        _assert_identical(
+            ScenarioConfig(
+                protocol="edrp",
+                intervals=18,
+                receivers=10,
+                buffers=2,
+                cdm_copies=6,
+                low_per_high=3,
+                attack_fraction=0.8,
+                loss_probability=0.3,
+                loss_mean_burst=3.0,
+                packets_per_interval=9,
+                seed=3,
+                engine="vectorized",
+            )
+        )
+
+    def test_stale_disclosure_and_late_record_on_a_crafted_plan(self):
+        """Disclosures arrive in flat order and records before their
+        key, so no config sends a stale low-key disclosure or a record
+        for an already-released sub-interval. Append both to a built
+        plan: as in the DES receiver, the disclosure is a weak-auth
+        rejection, and the record re-creates its released bucket and is
+        authenticated at once under the trusted key."""
+        config = ScenarioConfig(
+            protocol="multilevel", intervals=12, receivers=3, engine="vectorized"
+        )
+        plan = fleet._build_plan(
+            config,
+            IntervalSchedule(0.0, config.interval_duration),
+            LooseTimeSync(config.max_offset),
+            workload_for(config),
+            random.Random(1),
+        )
+        late = float(plan.times[-1]) + 1.0
+        crafted = dataclasses.replace(
+            plan,
+            times=np.append(plan.times, [late, late]),
+            kinds=plan.kinds + [fleet._DISC, fleet._DATA],
+            index=plan.index + [1, 1],
+            sources=plan.sources + [0, 0],
+            gate=plan.gate + [True, True],
+            disc_index=plan.disc_index + [-1, -1],
+        )
+        seeds = list(range(config.receivers))
+        auth, _lost, _rejf, weak, _disc, _facc, recv, _peak = (
+            fleet._replay_multilevel(
+                plan, config, seeds, np.ones((len(plan.times), 3), dtype=bool)
+            )
+        )
+        counts = fleet._replay_multilevel(
+            crafted, config, seeds, np.ones((len(crafted.times), 3), dtype=bool)
+        )
+        assert counts[0] == [n + 1 for n in auth]
+        assert counts[3] == [n + 1 for n in weak]
+        assert counts[6] == [n + 2 for n in recv]
+
+    @pytest.mark.parametrize("table", ["forged_mac_valid", "forged_pin_match"])
+    def test_forged_collision_is_a_simulation_error(self, table):
+        """A forged CDM passing its MAC check or matching an EDRP pin is
+        a 2^-80 collision the replay cannot mirror: it must raise, not
+        carry on with a corrupted commitment."""
+        config = ScenarioConfig(
+            protocol="edrp",
+            intervals=12,
+            receivers=4,
+            buffers=2,
+            attack_fraction=0.8,
+            seed=7,
+            engine="vectorized",
+        )
+        plan = fleet._build_plan(
+            config,
+            IntervalSchedule(0.0, config.interval_duration),
+            LooseTimeSync(config.max_offset),
+            workload_for(config),
+            random.Random(1),
+        )
+        delivered = np.ones((len(plan.times), config.receivers), dtype=bool)
+        seeds = list(range(config.receivers))
+        fleet._replay_multilevel(plan, config, seeds, delivered)
+        forged = dataclasses.replace(
+            plan, **{table: [True] * len(getattr(plan, table))}
+        )
+        with pytest.raises(SimulationError, match="2\\^-80 collision"):
+            fleet._replay_multilevel(forged, config, seeds, delivered)
+
+
+class TestLayerTimers:
+    def test_layer_spans_add_up_to_the_run(self):
+        """With a registry active, the plan build, delivery mask, shard
+        replay and reduction spans partition the run's wall time."""
+        config = ScenarioConfig(
+            protocol="edrp",
+            intervals=20,
+            receivers=3000,
+            buffers=4,
+            attack_fraction=0.8,
+            loss_probability=0.2,
+            seed=7,
+            engine="vectorized",
+        )
+        spans = (
+            names.SIM_FLEET_PLAN,
+            names.SIM_FLEET_MASK,
+            names.SIM_FLEET_REPLAY,
+            names.SIM_FLEET_REDUCE,
+        )
+        with perf.collecting() as registry:
+            started = time.perf_counter()
+            run_fleet_scenario(config)
+            wall = time.perf_counter() - started
+        assert set(spans) <= set(registry.timers)
+        assert all(registry.timers[span] > 0.0 for span in spans)
+        assert abs(sum(registry.timers[span] for span in spans) - wall) <= 0.1 * wall
 
 
 class TestCacheKeys:
