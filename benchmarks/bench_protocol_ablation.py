@@ -14,8 +14,6 @@ Three of the paper's design choices, isolated and measured end to end:
 
 from __future__ import annotations
 
-import random
-
 from repro.protocols.edrp import EdrpReceiver, EdrpSender, edrp_params
 from repro.protocols.eftp import EftpReceiver, EftpSender, eftp_params
 from repro.protocols.multilevel import (
@@ -119,38 +117,47 @@ def test_ablation_bursty_vs_memoryless_loss(benchmark):
     """S-2d: equal average loss, different correlation. Bursts wipe out
     whole redundancy groups (all CDM copies of an interval), which
     memoryless loss almost never does."""
-    from repro.sim.channel import BernoulliLoss, GilbertElliottLoss
+    from repro.sim.channel import bursty_channel, link_drops, link_key
 
     def run():
-        seeds = range(1, 7)
-        rates = {}
-        for label, factory in (
-            ("memoryless", lambda: BernoulliLoss(0.3)),
-            ("bursty", lambda: GilbertElliottLoss.from_average(0.3, mean_burst=8.0)),
-        ):
-            authenticated = attempts = 0
+        seeds = range(1, 65)
+        rows = {}
+        for label, mean_burst in (("memoryless", None), ("bursty", 8.0)):
+            bursty = bursty_channel(0.3, mean_burst)
+            authenticated = attempts = wiped = groups = 0
             for seed in seeds:
                 sender, receiver = _multilevel_stack("original")
-                loss = factory()
-                rng = random.Random(seed)
+                # One receiver on a channel keyed by the seed; the
+                # broadcast index counts packets.
+                link, bad, broadcast = link_key(seed, 0), False, 0
+                cdm_heard = {}
                 for flat in range(1, 29):
                     for packet in sender.packets_for_interval(flat):
-                        if loss.should_drop(rng):
+                        dropped, bad = link_drops(link, broadcast, 0.3, bursty, bad)
+                        broadcast += 1
+                        if isinstance(packet, CdmPacket):
+                            high = packet.high_index
+                            cdm_heard[high] = cdm_heard.get(high, False) or not dropped
+                        if dropped:
                             continue
                         for event in receiver.receive(packet, flat - 0.5):
                             authenticated += event.outcome.value == "authenticated"
                 attempts += 26  # verifiable flats per run
-            rates[label] = authenticated / attempts
-        return rates
+                wiped += sum(not heard for heard in cdm_heard.values())
+                groups += len(cdm_heard)
+            rows[label] = (authenticated / attempts, wiped / groups)
+        return rows
 
-    rates = benchmark(run)
+    rows = benchmark(run)
     print_table(
-        "S-2d: multi-level auth rate at 30% average loss",
-        ["loss model", "auth rate"],
-        [(label, f"{rate:.3f}") for label, rate in rates.items()],
+        "S-2d: multi-level at 30% average loss, 64 seeds",
+        ["loss model", "auth rate", "CDM groups wiped out"],
+        [(label, f"{a:.3f}", f"{w:.3f}") for label, (a, w) in rows.items()],
     )
-    # Correlated loss is strictly harsher at the same average rate.
-    assert rates["bursty"] < rates["memoryless"] - 0.05
+    # Correlated loss takes out every copy of a CDM far more often at the
+    # same average rate.
+    assert rows["bursty"][1] > 0.04
+    assert rows["bursty"][1] > 4 * rows["memoryless"][1]
 
 
 def test_ablation_edrp_continuity(benchmark):

@@ -7,8 +7,6 @@ capture-then-replay of a protocol run.
 
 from __future__ import annotations
 
-import random
-
 from repro.protocols.dap import DapReceiver, DapSender
 from repro.protocols.packets import MacAnnouncePacket, MessageKeyPacket
 from repro.protocols.wire import decode_packet, encode_packet
@@ -49,7 +47,7 @@ def test_capture_and_replay_full_run(benchmark):
 
     def capture_replay():
         simulator = Simulator()
-        medium = BroadcastMedium(simulator, rng=random.Random(0))
+        medium = BroadcastMedium(simulator, key=0)
         recorder = TraceRecorder(medium)
         schedule = IntervalSchedule(0.0, 1.0)
         sender = DapSender(SEED, 31, announce_copies=3)

@@ -105,9 +105,12 @@ def fresh_key() -> int:
 
 def mix_array(z: NDArray[Any]) -> NDArray[Any]:
     """:func:`mix` over a ``uint64`` array (wrapping arithmetic)."""
-    z = (z ^ (z >> np.uint64(30))) * _U_C1
-    z = (z ^ (z >> np.uint64(27))) * _U_C2
-    return z ^ (z >> np.uint64(31))
+    z = z ^ (z >> np.uint64(30))  # a new array; the rest works in place
+    z *= _U_C1
+    z ^= z >> np.uint64(27)
+    z *= _U_C2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def draw_array(keys: NDArray[Any], k: NDArray[Any], lane: int) -> NDArray[Any]:

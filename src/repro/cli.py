@@ -16,7 +16,7 @@ Subcommands::
     repro profile     cProfile + perf counters over a scenario preset
     repro bench       crypto or sim bench suite -> BENCH_<suite>.json
     repro lint        reprolint: per-file + whole-program AST invariants
-    repro sanitize    runtime sanitizers: determinism / resources
+    repro sanitize    runtime sanitizer: RNG draw determinism
 
 Every subcommand is a thin shim over the library — anything printed
 here is available programmatically (see README).
@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sanitize = sub.add_parser(
         "sanitize",
-        help="runtime sanitizers: determinism, resources",
+        help="runtime sanitizers: determinism",
     )
     sanitize_sub = sanitize.add_subparsers(
         dest="sanitize_command", required=True
@@ -502,35 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write the draw-trace diff as a JSON artifact",
-    )
-    sres = sanitize_sub.add_parser(
-        "resources",
-        help="track SharedMemory/socket/file lifetimes across a fleet run",
-    )
-    sres.add_argument(
-        "--scenario",
-        required=True,
-        metavar="NAME",
-        help="registered catalog scenario for the fleet engine",
-    )
-    sres.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=2,
-        help="process-pool size (>= 2 exercises the shared-memory path)",
-    )
-    sres.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=2,
-        help="receiver-axis shards (default: 2)",
-    )
-    sres.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the resource report as a JSON artifact",
     )
 
     return parser
@@ -1136,36 +1107,8 @@ def _sanitize_determinism(args: argparse.Namespace) -> int:
     return 1 if divergences else 0
 
 
-def _sanitize_resources(args: argparse.Namespace) -> int:
-    from repro.devtools.sanitizers import resources
-    from repro.sim import fleet
-
-    scenario = get_scenario(args.scenario).config
-    executor = executor_for(args.jobs)
-    try:
-        with resources.tracking() as sanitizer:
-            fleet.run_fleet_scenario(
-                scenario, shards=args.shards, executor=executor
-            )
-    finally:
-        close = getattr(executor, "close", None)
-        if close is not None:
-            close()
-    leaks = sanitizer.leaks()
-    _write_sanitize_artifact(args.json, sanitizer.to_json())
-    print(
-        f"sanitize resources: {sanitizer.tracked} tracked,"
-        f" {sanitizer.released} released, {len(leaks)} leaks"
-    )
-    for leak in leaks:
-        print(f"  {leak.kind} {leak.label} created at {leak.site}")
-    return 1 if leaks else 0
-
-
 def _cmd_sanitize(args: argparse.Namespace) -> int:
-    if args.sanitize_command == "determinism":
-        return _sanitize_determinism(args)
-    return _sanitize_resources(args)
+    return _sanitize_determinism(args)
 
 
 _COMMANDS = {

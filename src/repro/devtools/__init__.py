@@ -21,9 +21,8 @@ dataflow)::
 
 **Tier two — runtime sanitizers.** :mod:`repro.devtools.sanitizers`
 traces what static analysis cannot prove: RNG draw sequences with
-call-site attribution (``repro sanitize determinism``) and
-SharedMemory/socket lifetimes (``repro sanitize resources``) — all zero-cost when disabled,
-guarded exactly like ``repro.perf``.
+call-site attribution (``repro sanitize determinism``) — zero-cost when
+disabled, guarded exactly like ``repro.perf``.
 
 See ``docs/API.md`` ("repro.devtools — correctness tooling") for the
 rule catalogue, the suppression syntax, and the sanitizer workflows.

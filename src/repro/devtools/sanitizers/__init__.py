@@ -1,19 +1,11 @@
 """Runtime sanitizers: the dynamic complement to reprolint.
 
-Two independent sanitizers, each zero-cost when disabled (the same
-``ACTIVE``-slot guard pattern as :mod:`repro.perf`):
-
-:mod:`repro.devtools.sanitizers.determinism`
-    Traces RNG draw sequences with call-site attribution and diffs two
-    runs (or DES vs fleet) to pinpoint the *first divergent draw* per
-    stream. Hook: :func:`traced_rng` — the identity function when
-    tracing is off.
-
-:mod:`repro.devtools.sanitizers.resources`
-    Tracks ``SharedMemory`` segments, sockets, and file handles from
-    creation to release and reports anything still alive at end of run.
-    Hooks: :func:`track_resource` / :func:`release_resource` — no-ops
-    when off.
+:mod:`repro.devtools.sanitizers.determinism` traces RNG draw sequences
+with call-site attribution and diffs two runs (or DES vs fleet) to
+pinpoint the *first divergent draw* per stream. It is zero-cost when
+disabled (the same ``ACTIVE``-slot guard pattern as
+:mod:`repro.perf`): its hook, :func:`traced_rng`, is the identity
+function when tracing is off.
 
 This package is intentionally **stdlib-only and imports nothing from
 the rest of ``repro``**: it sits below ``repro.sim`` and ``repro.net``
@@ -33,7 +25,7 @@ Typical use::
 
 from __future__ import annotations
 
-from repro.devtools.sanitizers import determinism, resources
+from repro.devtools.sanitizers import determinism
 from repro.devtools.sanitizers.determinism import (
     DeterminismSanitizer,
     Draw,
@@ -41,21 +33,12 @@ from repro.devtools.sanitizers.determinism import (
     DrawTrace,
     traced_rng,
 )
-from repro.devtools.sanitizers.resources import (
-    ResourceSanitizer,
-    release_resource,
-    track_resource,
-)
 
 __all__ = [
     "DeterminismSanitizer",
     "Draw",
     "DrawDivergence",
     "DrawTrace",
-    "ResourceSanitizer",
     "determinism",
-    "release_resource",
-    "resources",
-    "track_resource",
     "traced_rng",
 ]

@@ -287,12 +287,6 @@ class _TracingRandom(random.Random):
         if inner is not None:
             inner.seed(*args, **kwargs)
 
-    def getstate(self) -> Any:
-        return self._inner.getstate()
-
-    def setstate(self, state: Any) -> None:
-        self._inner.setstate(state)
-
 
 #: Process-wide active sanitizer; ``None`` disables tracing entirely.
 ACTIVE: Optional[DeterminismSanitizer] = None

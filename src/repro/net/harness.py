@@ -81,8 +81,8 @@ class SoakWorld:
     """The protocol half of a soak, transport-agnostic.
 
     Both transports build through :func:`derive_soak_world` so the
-    seed-derivation order — master → channel/proxy RNG → per-receiver
-    RNGs → attacker RNG, exactly :func:`run_scenario`'s — is shared
+    seed-derivation order — master → channel key → per-receiver draw
+    keys → attacker RNG, exactly :func:`run_scenario`'s — is shared
     code rather than a convention.
     """
 
@@ -92,7 +92,7 @@ class SoakWorld:
     factory: Any
     authentic_copies: int
     sent_authentic: int
-    proxy_rng: random.Random
+    channel_key: int
     attacker_rng: random.Random
 
 
@@ -109,7 +109,7 @@ def derive_soak_world(config: ScenarioConfig) -> SoakWorld:
             f" got {config.protocol!r}"
         )
     rng = traced_rng(random.Random(config.seed), "master")
-    proxy_rng = traced_rng(random.Random(rng.getrandbits(64)), "proxy")
+    channel_key = rng.getrandbits(64)
     schedule = IntervalSchedule(0.0, config.interval_duration)
     sync = LooseTimeSync(config.max_offset)
     workload = workload_for(config)
@@ -125,7 +125,7 @@ def derive_soak_world(config: ScenarioConfig) -> SoakWorld:
         factory=factory,
         authentic_copies=authentic_copies,
         sent_authentic=sent_authentic,
-        proxy_rng=proxy_rng,
+        channel_key=channel_key,
         attacker_rng=attacker_rng,
     )
 
@@ -246,7 +246,7 @@ def run_loopback_soak(
         proxy_ep,
         [daemon.name for daemon in daemons],
         proxy_config or _soak_proxy_config(config),
-        rng=world.proxy_rng,
+        key=world.channel_key,
     )
     broadcaster = Broadcaster(
         sender_ep, [proxy_ep.address], world.sender, schedule, config.intervals

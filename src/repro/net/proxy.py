@@ -2,13 +2,19 @@
 
 The proxy is an ordinary endpoint: whatever arrives on its address is
 forwarded to every downstream address through an emulated link — drop
-(any :mod:`repro.sim.channel` loss process, so Bernoulli and
-Gilbert–Elliott burst fades are both available), base delay, uniform
-jitter, duplication and reordering. Each downstream link owns a fresh
-loss-process instance (fades are per-link state) while one seeded RNG
-drives all links in downstream order — the exact draw discipline of
-:class:`repro.sim.medium.BroadcastMedium`, which is what lets a
-loopback soak reproduce an in-memory simulation decision-for-decision.
+(Bernoulli or Gilbert–Elliott burst fades, from
+:mod:`repro.sim.channel`), base delay, uniform jitter, duplication and
+reordering. Loss is the keyed channel of
+:class:`repro.sim.medium.BroadcastMedium`: the ``b``-th datagram
+reaches the ``r``-th downstream address unless the channel's draw for
+``(key, r, b)`` drops it, with the proxy holding each link's fade
+state. Equal keys give equal decisions, which is what lets a loopback
+soak reproduce an in-memory simulation decision-for-decision. The
+proxy decides a block of upcoming datagrams for all its links in one
+array call.
+
+Jitter, duplication and reordering draw from a ``random.Random``
+seeded with the same key; with those knobs at zero it is never drawn.
 
 Faults compose per delivery: a datagram can be duplicated *and* each
 copy delayed and reordered independently, which is how real congested
@@ -21,9 +27,18 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
+from repro.devtools.sanitizers.determinism import traced_rng
 from repro.errors import ConfigurationError
 from repro.net.transport import Transport
-from repro.sim.channel import BernoulliLoss, GilbertElliottLoss, LossProcess
+from repro.sim.channel import (
+    GilbertElliottLoss,
+    bernoulli_drop_mask,
+    bursty_channel,
+    gilbert_elliott_drop_mask,
+    link_keys,
+)
 
 __all__ = ["ProxyConfig", "FaultInjectionProxy"]
 
@@ -55,12 +70,8 @@ class ProxyConfig:
     reorder_delay: Optional[float] = None
 
     def __post_init__(self) -> None:
-        probabilities = (
-            "loss_probability",
-            "duplicate_probability",
-            "reorder_probability",
-        )
-        for name in probabilities:
+        bursty_channel(self.loss_probability, self.loss_mean_burst)
+        for name in ("duplicate_probability", "reorder_probability"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
@@ -73,13 +84,10 @@ class ProxyConfig:
                 f"reorder_delay must be >= 0, got {self.reorder_delay}"
             )
 
-    def make_loss_process(self) -> LossProcess:
-        """A fresh loss process for one downstream link."""
-        if self.loss_mean_burst is not None and self.loss_probability > 0.0:
-            return GilbertElliottLoss.from_average(
-                self.loss_probability, self.loss_mean_burst
-            )
-        return BernoulliLoss(self.loss_probability)
+    @property
+    def bursty(self) -> Optional[GilbertElliottLoss]:
+        """The Gilbert–Elliott channel, or ``None`` for Bernoulli loss."""
+        return bursty_channel(self.loss_probability, self.loss_mean_burst)
 
     @property
     def effective_reorder_delay(self) -> float:
@@ -89,12 +97,11 @@ class ProxyConfig:
         return 2.0 * self.delay
 
 
-class _Link:
-    __slots__ = ("address", "loss")
-
-    def __init__(self, address: str, loss: LossProcess) -> None:
-        self.address = address
-        self.loss = loss
+#: Datagrams decided per array call of the keyed channel. On the
+#: soak-loopback workload (about 1250 datagrams to 32 links per run)
+#: the decisions cost about 1.5 ms this way, against 29 ms for one call
+#: per datagram and 69 ms for one scalar decision per link.
+_LOOKAHEAD = 64
 
 
 class FaultInjectionProxy:
@@ -102,10 +109,11 @@ class FaultInjectionProxy:
 
     Args:
         transport: the endpoint to listen on (handler installed here).
-        downstream: receiver addresses, in delivery order.
-        config: the fault model, shared by all links (each gets a fresh
-            loss-process instance).
-        rng: one seeded RNG driving every link's randomness.
+        downstream: receiver addresses, in delivery order (the ``r``-th
+            is receiver ``r`` of the keyed channel).
+        config: the fault model, shared by all links.
+        key: 64-bit channel key; loss decisions are keyed by it, and it
+            seeds the jitter/duplication/reordering draws.
     """
 
     def __init__(
@@ -113,17 +121,19 @@ class FaultInjectionProxy:
         transport: Transport,
         downstream: Sequence[str],
         config: Optional[ProxyConfig] = None,
-        rng: Optional[random.Random] = None,
+        *,
+        key: int,
     ) -> None:
         if not downstream:
             raise ConfigurationError("proxy needs at least one downstream address")
         self._transport = transport
         self._config = config or ProxyConfig()
-        self._rng = rng or random.Random()
-        self._links: List[_Link] = [
-            _Link(address, self._config.make_loss_process())
-            for address in downstream
-        ]
+        self._rng = traced_rng(random.Random(key), "proxy")
+        self._addresses = list(downstream)
+        self._links = link_keys(key, np.arange(len(self._addresses)))
+        self._bursty = self._config.bursty
+        self._bad = np.zeros(len(self._addresses), dtype=bool)
+        self._decided: List[List[bool]] = []
         self.datagrams_received = 0
         self.forwarded = 0
         self.dropped = 0
@@ -139,12 +149,10 @@ class FaultInjectionProxy:
     @property
     def downstream(self) -> List[str]:
         """Downstream addresses in delivery order."""
-        return [link.address for link in self._links]
+        return list(self._addresses)
 
     def _delivery_delay(self) -> float:
-        # Guarded draws: knobs at zero consume no randomness, so a
-        # plain-delay proxy draws exactly one loss decision per link per
-        # datagram — the medium's sequence, preserving parity.
+        # Guarded draws: knobs at zero consume no randomness.
         delay = self._config.delay
         if self._config.jitter > 0.0:
             delay += self._rng.random() * self._config.jitter
@@ -156,10 +164,27 @@ class FaultInjectionProxy:
             delay += self._config.effective_reorder_delay
         return delay
 
+    def _drops(self, datagram: int) -> List[bool]:
+        """Each link's loss decision for the ``datagram``-th datagram."""
+        row = datagram % _LOOKAHEAD
+        if row == 0:
+            broadcasts = np.arange(datagram, datagram + _LOOKAHEAD)
+            if self._bursty is None:
+                drops = bernoulli_drop_mask(
+                    self._links, broadcasts, self._config.loss_probability
+                )
+            else:
+                drops, self._bad = gilbert_elliott_drop_mask(
+                    self._links, broadcasts, self._bursty, self._bad
+                )
+            self._decided = drops.tolist()
+        return self._decided[row]
+
     def _on_datagram(self, data: bytes, _arrival: float) -> None:
+        datagram = self.datagrams_received
         self.datagrams_received += 1
-        for link in self._links:
-            if link.loss.should_drop(self._rng):
+        for address, dropped in zip(self._addresses, self._drops(datagram)):
+            if dropped:
                 self.dropped += 1
                 continue
             copies = 1
@@ -170,5 +195,5 @@ class FaultInjectionProxy:
                 copies = 2
                 self.duplicated += 1
             for _ in range(copies):
-                self._transport.send(data, link.address, self._delivery_delay())
+                self._transport.send(data, address, self._delivery_delay())
             self.forwarded += copies

@@ -88,7 +88,7 @@ async def _soak_world(
                 proxy_ep,
                 [daemon.address for daemon in daemons],
                 config.proxy_config(),
-                rng=world.proxy_rng,
+                key=world.channel_key,
             )
             ingress = proxy_ep.address
             destinations = [ingress]

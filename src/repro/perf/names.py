@@ -38,7 +38,9 @@ NET_DATAGRAMS_DELIVERED = "net.datagrams_delivered"
 NET_DATAGRAMS_DROPPED = "net.datagrams_dropped"
 #: Timer: fleet engine master draws and replay-plan build.
 SIM_FLEET_PLAN = "sim.fleet.plan"
-#: Timer: fleet engine bit-packed delivery mask.
+#: Timer: fleet engine delivery masks, drawn inside the inline shard
+#: replays (nested in ``SIM_FLEET_REPLAY``; process-pool shards draw
+#: theirs in the workers, untimed).
 SIM_FLEET_MASK = "sim.fleet.mask"
 #: Timer: fleet engine shard replays, with their streaming fold.
 SIM_FLEET_REPLAY = "sim.fleet.replay"

@@ -6,7 +6,7 @@ models, workload generation, metrics, and the one-call scenario runner.
 """
 
 from repro.sim.adaptive import AdaptiveReceiverNode, Reconfiguration
-from repro.sim.channel import BernoulliLoss, GilbertElliottLoss, LossProcess
+from repro.sim.channel import GilbertElliottLoss
 from repro.sim.attacker import (
     FloodingAttacker,
     GameAwareAttacker,
@@ -34,10 +34,8 @@ from repro.sim.workloads import CrowdsensingWorkload, SensingTask, SensorReport
 
 __all__ = [
     "AdaptiveReceiverNode",
-    "BernoulliLoss",
     "BroadcastMedium",
     "GilbertElliottLoss",
-    "LossProcess",
     "Reconfiguration",
     "CrowdsensingWorkload",
     "EventHandle",

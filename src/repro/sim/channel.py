@@ -1,14 +1,15 @@
-"""Loss processes for the broadcast channel.
+"""The counter-keyed broadcast channel: who hears which broadcast.
 
 The paper evaluates "low QoS channels", and real wireless loss is
 *bursty*, not i.i.d. — fades and interference kill runs of consecutive
 packets. That matters here: multi-level μTESLA sends redundant CDM
 copies precisely to survive loss, and a burst can take out every copy
 at once, which is the failure mode EFTP's and EDRP's recovery paths
-exist for. Two processes:
+exist for. Two loss models:
 
-:class:`BernoulliLoss`
-    Independent drops with fixed probability — the default model.
+Bernoulli
+    Independent drops with a fixed probability — the default model, a
+    plain ``loss_probability``.
 :class:`GilbertElliottLoss`
     The classic two-state Markov burst model: a GOOD state with low
     loss and a BAD state with high loss, with geometric sojourn times.
@@ -16,89 +17,74 @@ exist for. Two processes:
     :meth:`GilbertElliottLoss.from_average` (target average loss +
     mean burst length), so ablations can hold the average constant and
     vary only the burstiness.
+
+Every delivery decision is a pure function of ``(medium key, receiver
+index, broadcast index, lane)``, in the style of
+:mod:`repro.buffers.keyed`: receiver ``r``'s link key is
+``buffer_key(medium key, r)`` and lane ``l`` of broadcast ``b`` is
+:func:`repro.buffers.keyed.draw` of ``(link key, b, l)`` (array twin:
+:func:`link_draws`), read as a uniform in ``[0, 1)`` from its top 53
+bits. A Bernoulli decision uses lane 0; a Gilbert–Elliott decision
+uses lane 0 for the state transition, then lane 1 for the loss, and
+carries the link's fade state from one broadcast to the next. The discrete-event medium evaluates the scalar
+twin (:func:`link_drops`) one delivery at a time; the fleet engine and
+the fault-injection proxy evaluate the array twins
+(:func:`bernoulli_drop_mask`, :func:`gilbert_elliott_drop_mask`) over
+whole ``(broadcasts, receivers)`` blocks. They give the same bits, so
+no engine depends on the order in which another consumes a stream.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from abc import ABC, abstractmethod
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
 import numpy as np
+from numpy.typing import NDArray
 
+from repro.buffers.keyed import MASK, buffer_key, draw, draw_array, mix_array
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "LossProcess",
-    "BernoulliLoss",
     "GilbertElliottLoss",
     "bernoulli_drop_mask",
+    "bursty_channel",
     "gilbert_elliott_drop_mask",
+    "link_draws",
+    "link_drops",
+    "link_key",
+    "link_keys",
 ]
 
 
-class LossProcess(ABC):
-    """A stateful per-link loss decision process."""
+@dataclass(frozen=True)
+class GilbertElliottLoss:
+    """Parameters of a two-state Markov burst-loss channel.
 
-    @abstractmethod
-    def should_drop(self, rng: random.Random) -> bool:
-        """Decide one delivery; may advance internal channel state."""
-
-    @abstractmethod
-    def average_loss(self) -> float:
-        """The long-run loss probability of the process."""
-
-
-class BernoulliLoss(LossProcess):
-    """Independent loss with fixed probability (the memoryless model)."""
-
-    def __init__(self, probability: float) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ConfigurationError(
-                f"probability must be in [0, 1], got {probability}"
-            )
-        self._probability = probability
-
-    def should_drop(self, rng: random.Random) -> bool:
-        return rng.random() < self._probability
-
-    def average_loss(self) -> float:
-        return self._probability
-
-
-class GilbertElliottLoss(LossProcess):
-    """Two-state Markov burst-loss channel.
-
-    Args:
+    Attributes:
         p_good_to_bad: per-delivery probability of entering a fade.
         p_bad_to_good: per-delivery probability of the fade ending
             (mean burst length = ``1 / p_bad_to_good`` deliveries).
         loss_good: loss probability while GOOD (often ~0).
         loss_bad: loss probability while BAD (often ~1).
+
+    The fade state itself belongs to a link, not to these parameters:
+    the medium and the proxy hold one per receiver.
     """
 
-    def __init__(
-        self,
-        p_good_to_bad: float,
-        p_bad_to_good: float,
-        loss_good: float = 0.0,
-        loss_bad: float = 1.0,
-    ) -> None:
-        for name, value in (
-            ("p_good_to_bad", p_good_to_bad),
-            ("p_bad_to_good", p_bad_to_good),
-            ("loss_good", loss_good),
-            ("loss_bad", loss_bad),
-        ):
+    p_good_to_bad: float
+    p_bad_to_good: float
+    loss_good: float = 0.0
+    loss_bad: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("p_good_to_bad", "p_bad_to_good", "loss_good", "loss_bad"):
+            value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-        if p_bad_to_good == 0.0 and p_good_to_bad > 0.0:
+        if self.p_bad_to_good == 0.0 and self.p_good_to_bad > 0.0:
             raise ConfigurationError("a fade must be able to end (p_bad_to_good > 0)")
-        self._g2b = p_good_to_bad
-        self._b2g = p_bad_to_good
-        self._loss_good = loss_good
-        self._loss_bad = loss_bad
-        self._bad = False
 
     @classmethod
     def from_average(
@@ -137,110 +123,174 @@ class GilbertElliottLoss(LossProcess):
             g2b = min(b2g * pi_bad / (1.0 - pi_bad), 1.0)
         return cls(g2b, b2g, loss_good, loss_bad)
 
-    @property
-    def in_fade(self) -> bool:
-        """Whether the channel is currently in the BAD state."""
-        return self._bad
-
-    @property
-    def p_good_to_bad(self) -> float:
-        return self._g2b
-
-    @property
-    def p_bad_to_good(self) -> float:
-        return self._b2g
-
-    @property
-    def loss_good(self) -> float:
-        return self._loss_good
-
-    @property
-    def loss_bad(self) -> float:
-        return self._loss_bad
-
     def stationary_bad_share(self) -> float:
         """Long-run fraction of time spent in the BAD state."""
-        total = self._g2b + self._b2g
+        total = self.p_good_to_bad + self.p_bad_to_good
         if total == 0.0:
             return 0.0
-        return self._g2b / total
+        return self.p_good_to_bad / total
 
     def average_loss(self) -> float:
         pi = self.stationary_bad_share()
-        return pi * self._loss_bad + (1.0 - pi) * self._loss_good
+        return pi * self.loss_bad + (1.0 - pi) * self.loss_good
 
-    def should_drop(self, rng: random.Random) -> bool:
-        # advance the channel state, then draw the loss
-        if self._bad:
-            if rng.random() < self._b2g:
-                self._bad = False
-        else:
-            if rng.random() < self._g2b:
-                self._bad = True
-        loss = self._loss_bad if self._bad else self._loss_good
-        return rng.random() < loss
+    @property
+    def drops_exactly_in_fades(self) -> bool:
+        """Whether a delivery is lost iff its link is in a fade — the
+        loss lane's outcome is then fixed and need not be drawn."""
+        return self.loss_good <= 0.0 and self.loss_bad >= 1.0
 
 
-def bernoulli_drop_mask(uniforms: np.ndarray, probability: float) -> np.ndarray:
-    """Vectorized :meth:`BernoulliLoss.should_drop` over a uniform array.
+def bursty_channel(
+    loss_probability: float, loss_mean_burst: Optional[float]
+) -> Optional[GilbertElliottLoss]:
+    """The channel a ``(loss_probability, loss_mean_burst)`` setting asks for.
 
-    ``uniforms`` holds one pre-drawn ``rng.random()`` value per decision
-    (the scalar path draws one even at ``probability == 0``); any shape
-    is accepted and preserved.
+    ``None`` means memoryless (Bernoulli) loss at ``loss_probability``;
+    a mean burst on a lossy channel gives the Gilbert–Elliott channel
+    with that mean fade length at the same average loss. The one check
+    of this pair: :class:`~repro.sim.scenario.ScenarioConfig` and
+    :class:`~repro.net.proxy.ProxyConfig` run it when they are built.
+
+    Raises:
+        ConfigurationError: for a probability outside ``[0, 1]``, or a
+            bursty setting the Gilbert–Elliott channel cannot reach
+            (average loss 1, mean burst below 1).
+    """
+    if not 0.0 <= loss_probability <= 1.0:
+        raise ConfigurationError(
+            f"loss_probability must be in [0, 1], got {loss_probability}"
+        )
+    if loss_mean_burst is None or loss_probability == 0.0:
+        return None
+    try:
+        return GilbertElliottLoss.from_average(loss_probability, loss_mean_burst)
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            f"bursty loss (loss_probability={loss_probability},"
+            f" loss_mean_burst={loss_mean_burst}): {exc}"
+        ) from exc
+
+
+# ---------------------------------------------------------------------------
+# The keyed draw: scalar twin and array twin.
+
+
+def link_key(key: int, receiver: int) -> int:
+    """The key of receiver ``receiver``'s link on the medium keyed ``key``."""
+    return buffer_key(key, receiver)
+
+
+def link_keys(key: int, receivers: NDArray[Any]) -> NDArray[Any]:
+    """:func:`link_key` over an array of receiver indices (``uint64``)."""
+    mixed = mix_array(np.asarray(receivers).astype(np.uint64))
+    return mix_array(np.uint64(key) ^ mixed)
+
+
+def link_draws(
+    links: NDArray[Any], broadcasts: NDArray[Any], lane: int
+) -> NDArray[Any]:
+    """:func:`~repro.buffers.keyed.draw` over the ``(broadcasts, links)``
+    grid (``uint64``): the array twin of ``draw(link, broadcast, lane)``."""
+    return draw_array(links[np.newaxis, :], broadcasts[:, np.newaxis], lane)
+
+
+def _limit(probability: float) -> int:
+    """The draws that read as a uniform below ``probability``.
+
+    A draw's uniform is its top 53 bits times ``2^-53``, and
+    ``(bits >> 11) * 2^-53 < p`` holds exactly when
+    ``bits < ceil(p * 2^53) << 11`` — so both twins compare raw bits.
+    ``p = 1`` gives ``2^64``, above every draw.
+    """
+    return math.ceil(probability * 2.0**53) << 11
+
+
+def _below(bits: NDArray[Any], probability: float) -> NDArray[Any]:
+    """Array twin of ``bits < _limit(probability)``."""
+    limit = _limit(probability)
+    if limit > MASK:
+        return np.ones(bits.shape, dtype=bool)
+    return bits < np.uint64(limit)
+
+
+def link_drops(
+    link: int,
+    broadcast: int,
+    probability: float,
+    bursty: Optional[GilbertElliottLoss],
+    bad: bool,
+) -> Tuple[bool, bool]:
+    """Decide one delivery: ``(dropped, fade state after it)``.
+
+    ``bursty`` ``None`` is Bernoulli loss at ``probability`` (the fade
+    state stays ``False``); otherwise the link's Gilbert–Elliott state
+    ``bad`` advances on lane 0 and the loss is drawn on lane 1.
+    """
+    if bursty is None:
+        if probability == 0.0:
+            return False, False
+        return draw(link, broadcast, 0) < _limit(probability), False
+    transition = draw(link, broadcast, 0)
+    if bad:
+        bad = transition >= _limit(bursty.p_bad_to_good)
+    else:
+        bad = transition < _limit(bursty.p_good_to_bad)
+    if bursty.drops_exactly_in_fades:
+        return bad, bad
+    loss = bursty.loss_bad if bad else bursty.loss_good
+    return draw(link, broadcast, 1) < _limit(loss), bad
+
+
+def bernoulli_drop_mask(
+    links: NDArray[Any], broadcasts: NDArray[Any], probability: float
+) -> NDArray[Any]:
+    """Bernoulli :func:`link_drops` over ``(broadcasts, links)``.
+
+    ``links`` are :func:`link_keys`, ``broadcasts`` the broadcast
+    indices; returns the boolean drop mask.
     """
     if not 0.0 <= probability <= 1.0:
         raise ConfigurationError(
             f"probability must be in [0, 1], got {probability}"
         )
-    return np.asarray(uniforms, dtype=np.float64) < probability
+    if probability == 0.0:
+        return np.zeros((len(broadcasts), len(links)), dtype=bool)
+    return _below(link_draws(links, broadcasts, 0), probability)
 
 
 def gilbert_elliott_drop_mask(
-    uniforms: np.ndarray,
-    p_good_to_bad: float,
-    p_bad_to_good: float,
-    loss_good: float = 0.0,
-    loss_bad: float = 1.0,
-    initial_bad: np.ndarray | None = None,
-    return_state: bool = False,
-) -> "np.ndarray | tuple[np.ndarray, np.ndarray]":
-    """Vectorized Gilbert–Elliott sampling over many independent lanes.
+    links: NDArray[Any],
+    broadcasts: NDArray[Any],
+    channel: GilbertElliottLoss,
+    bad: NDArray[Any],
+) -> Tuple[NDArray[Any], NDArray[Any]]:
+    """Gilbert–Elliott :func:`link_drops` over ``(broadcasts, links)``.
 
-    ``uniforms`` has shape ``(steps, lanes, 2)``: per decision, draw 0
-    is the state transition and draw 1 the loss — the exact consumption
-    order of :meth:`GilbertElliottLoss.should_drop`, so feeding the
-    pre-drawn stream of a ``random.Random`` reproduces the scalar
-    per-lane drop sequence bit for bit. Every lane starts GOOD, as a
-    fresh :class:`GilbertElliottLoss` does, unless ``initial_bad`` (a
-    ``(lanes,)`` boolean array) resumes each lane mid-stream — the seam
-    block-wise mask generators use to process an unbounded step axis in
-    bounded memory. Returns a ``(steps, lanes)`` boolean drop mask, or
-    a ``(drops, final_bad)`` pair when ``return_state`` is true so the
-    caller can carry the per-lane channel state into the next block.
+    ``bad`` is each link's fade state before the first broadcast (all
+    ``False`` for fresh links); ``broadcasts`` must be consecutive for
+    the carried state to mean anything. Returns ``(drops, bad after
+    the last broadcast)``, so a caller can process an unbounded
+    broadcast axis in bounded blocks.
     """
-    u = np.asarray(uniforms, dtype=np.float64)
-    if u.ndim != 3 or u.shape[2] != 2:
+    if np.shape(bad) != (len(links),):
         raise ConfigurationError(
-            f"uniforms must have shape (steps, lanes, 2), got {u.shape}"
+            f"bad must have shape ({len(links)},), got {np.shape(bad)}"
         )
-    steps, lanes, _ = u.shape
-    if initial_bad is None:
-        bad = np.zeros(lanes, dtype=bool)
-    else:
-        bad = np.asarray(initial_bad, dtype=bool)
-        if bad.shape != (lanes,):
-            raise ConfigurationError(
-                f"initial_bad must have shape ({lanes},), got {bad.shape}"
-            )
-        bad = bad.copy()
-    drops = np.empty((steps, lanes), dtype=bool)
-    for step in range(steps):
-        transition = u[step, :, 0]
-        # BAD lanes leave the fade when transition < b2g; GOOD lanes
-        # enter one when transition < g2b.
-        bad = np.where(bad, transition >= p_bad_to_good, transition < p_good_to_bad)
-        loss = np.where(bad, loss_bad, loss_good)
-        drops[step] = u[step, :, 1] < loss
-    if return_state:
-        return drops, bad
-    return drops
+    transition = link_draws(links, broadcasts, 0)
+    # BAD links leave the fade when the draw is below b2g; GOOD links
+    # enter one when it is below g2b.
+    stay = ~_below(transition, channel.p_bad_to_good)
+    enter = _below(transition, channel.p_good_to_bad)
+    faded = np.empty(stay.shape, dtype=bool)
+    bad = np.asarray(bad, dtype=bool)
+    for row in range(len(broadcasts)):
+        bad = np.where(bad, stay[row], enter[row])
+        faded[row] = bad
+    if channel.drops_exactly_in_fades:
+        return faded, bad
+    loss = link_draws(links, broadcasts, 1)
+    drops = np.where(
+        faded, _below(loss, channel.loss_bad), _below(loss, channel.loss_good)
+    )
+    return drops, bad

@@ -2,11 +2,11 @@
 
 :func:`run_fleet_scenario` simulates the entire receiver fleet as
 arrays instead of per-node event callbacks: one broadcast timeline is
-laid out up front, per-slot channel decisions are drawn for *all*
-receivers at once (a block-wise vectorized Markov transition over a
-``(receivers,)`` Gilbert–Elliott state array, or one Bernoulli mask,
-bit-packed so the full delivery matrix costs one bit per decision),
-and the buffer/authentication state machines run as numpy over whole
+laid out up front, per-slot channel decisions are drawn for a whole
+shard of receivers at once (the keyed channel's array twin: one
+Bernoulli mask, or a block-wise Markov transition over a
+``(receivers,)`` Gilbert–Elliott state array), and the
+buffer/authentication state machines run as numpy over whole
 receiver blocks: all at once for the two-phase family, slot by slot in
 lockstep for the multi-level family (every DES branch a row mask over
 the receivers that got the slot), and as tight per-receiver loops over
@@ -31,14 +31,14 @@ Exactness contract
 ``run_fleet_scenario(config)`` returns the *identical* summary
 ``run_scenario`` produces at the same seed, for every family:
 
-- master draws: medium seed, per-receiver draw keys (receiver order),
+- master draws: medium key, per-receiver draw keys (receiver order),
   attacker seed — exactly as ``run_scenario`` + the family builders;
-- medium draws: one shared stream, consumed broadcast-by-broadcast in
-  attachment order, one uniform per Bernoulli decision and two per
-  Gilbert–Elliott decision (transition, then loss). The stream is
-  replayed through a mirrored ``numpy`` Mersenne state in bounded
-  blocks along the slot axis, carrying the per-lane channel state
-  between blocks;
+- channel draws: the delivery of slot ``b`` to receiver ``r`` is the
+  :mod:`repro.sim.channel` decision keyed by ``(medium key, r, b)`` —
+  one lane per Bernoulli decision, two per Gilbert–Elliott decision
+  (transition, then loss), with the per-receiver fade state carried
+  along the slot axis — exactly what the DES medium decides for its
+  ``r``-th attachment and ``b``-th broadcast;
 - reservoir draws: Algorithm 2's two uniforms for offer ``k`` to a full
   buffer are :mod:`repro.buffers.keyed` draws of ``(receiver key,
   interval, k)`` — pure functions, not stream positions — so the
@@ -54,33 +54,26 @@ Exactness contract
 Sharding
 --------
 
-The fleet's per-receiver state is independent given the shared
-delivery mask, so the receiver axis shards cleanly:
-:func:`shard_plan` cuts it into contiguous ranges (balanced via
-:func:`repro.net.harness.shard_sizes` — the same plan the live-network
-harness uses), each shard replays only its slice of the
-bit-packed mask, and per-shard results stream back through
-:meth:`repro.engine.executors.Executor.stream` to be folded one shard
-at a time. With ``summary="aggregate"`` the reduction keeps a single
-:class:`~repro.sim.metrics.FleetAggregate` instead of per-node rows,
-so peak memory tracks one shard regardless of fleet size. Parallel
-executors receive the packed mask through
-:class:`multiprocessing.shared_memory.SharedMemory` (one copy for the
-whole pool, closed and unlinked in ``finally`` paths).
-
-:func:`statistical_equivalence` is the cross-check harness: it runs
-both engines over a seed set and bounds the paired auth/attack-rate
-differences with a confidence interval (identically zero under the
-exact-mirroring contract, which the parity tests pin per family).
+Receivers never interact and every channel decision is keyed, so the
+receiver axis shards cleanly: :func:`shard_plan` cuts it into
+contiguous ranges (balanced via :func:`repro.net.harness.shard_sizes`
+— the same plan the live-network harness uses), each shard task draws
+its own slice of the delivery mask from the config, the medium key and
+its receiver range, then replays it, and per-shard results stream back
+through :meth:`repro.engine.executors.Executor.stream` to be folded one
+shard at a time (the counts, and the ``delivered_any`` /
+``delivered_total`` the run's horizon and counters need). The parent
+never holds a mask. With ``summary="aggregate"`` the reduction keeps a
+single :class:`~repro.sim.metrics.FleetAggregate` instead of per-node
+rows, so peak memory tracks one shard regardless of fleet size.
 """
 
 from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
-from multiprocessing import shared_memory
 from typing import (
     Any,
     ContextManager,
@@ -97,7 +90,6 @@ from typing import (
 import numpy as np
 
 from repro import perf
-from repro.analysis.statistics import MeanEstimate, mean_estimate
 from repro.buffers.keyed import (
     CDM_POOL,
     DATA_POOL,
@@ -108,7 +100,6 @@ from repro.buffers.keyed import (
 from repro.crypto.mac import INDEX_BITS, MacScheme, MicroMacScheme
 from repro.crypto.onewayfn import OneWayFunction, standard_functions
 from repro.devtools.sanitizers.determinism import traced_rng
-from repro.devtools.sanitizers.resources import release_resource, track_resource
 from repro.engine.executors import Executor
 from repro.engine.spec import ExperimentSpec
 from repro.errors import ConfigurationError, SimulationError
@@ -146,9 +137,10 @@ from repro.protocols.tesla import TeslaSender
 from repro.protocols.tesla_pp import TeslaPlusPlusSender
 from repro.sim.attacker import forged_copies_for_fraction
 from repro.sim.channel import (
-    GilbertElliottLoss,
     bernoulli_drop_mask,
+    bursty_channel,
     gilbert_elliott_drop_mask,
+    link_keys,
 )
 from repro.sim.metrics import (
     FleetAggregate,
@@ -179,8 +171,6 @@ __all__ = [
     "supports",
     "shard_plan",
     "run_fleet_scenario",
-    "statistical_equivalence",
-    "EquivalenceReport",
 ]
 
 #: Protocols the vectorized fast path covers (catalog-complete) — the
@@ -205,10 +195,11 @@ _DISC = 2
 _RECORD_BITS = StoredPacketRecord(0, b"\x00" * 25, b"\x00" * 10).stored_bits
 _CDM_BITS = CdmPacket(1, _NO_COMMITMENT, b"\x00" * 10, 0, None).wire_bits
 
-#: Uniform draws generated per block when materialising the delivery
-#: mask (~256 MB of float64 temporaries) — the knob that keeps peak RSS
-#: flat as ``slots x receivers`` grows.
-_DELIVERY_BLOCK_FLOATS = 32 * 1024 * 1024
+#: Decisions per block when materialising a shard's delivery mask:
+#: the block's ``uint64`` temporaries (512 KiB each) stay in cache,
+#: which makes the mask about twice as fast as 16 MiB blocks, and peak
+#: RSS stays flat as ``slots x receivers`` grows.
+_MASK_BLOCK_DECISIONS = 1 << 16
 
 
 def supports(config: ScenarioConfig) -> bool:
@@ -816,76 +807,35 @@ def _build_plan(
 
 
 # ---------------------------------------------------------------------------
-# Delivery mask: the shared medium stream, bit-packed.
+# Delivery mask: the keyed channel over one shard's receivers.
 
 
-def _packed_delivery_mask(
-    config: ScenarioConfig, slots: int, medium_rng: random.Random
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Bit-packed ``(slots, ceil(receivers/8))`` delivery matrix.
+def _delivery_mask(
+    config: ScenarioConfig, key: int, start: int, stop: int, slots: int
+) -> np.ndarray:
+    """``(slots, stop - start)`` delivery matrix of receivers ``[start, stop)``.
 
-    Consumes the medium RNG stream in the exact order
-    ``BroadcastMedium.broadcast`` does — per broadcast, one decision per
-    attached receiver, in attachment order — but through a mirrored
-    NumPy Mersenne state so the draws vectorize, generated in bounded
-    blocks along the slot axis (Gilbert–Elliott channel state carries
-    across blocks). Returns ``(packed, delivered_any, delivered_total)``.
+    Slot ``b`` is broadcast ``b`` of the DES medium and receiver ``r``
+    its ``r``-th attachment, so this is the medium's keyed decision for
+    every pair; it is computed in bounded blocks along the slot axis
+    (Gilbert–Elliott fade state carries across blocks). Any receiver
+    range gives the same columns as the whole fleet.
     """
-    receivers = config.receivers
-    bursty = config.loss_mean_burst is not None and config.loss_probability > 0.0
-    draws = 2 if bursty else 1
-    # A CPython Random and a NumPy RandomState share the MT19937 core:
-    # transplanting the 624-word state makes random_sample() emit the
-    # same doubles random() would, draw for draw.
-    _version, internal, _gauss = medium_rng.getstate()
-    mirror = np.random.RandomState()
-    mirror.set_state(
-        ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
-    )
-    row_bytes = (receivers + 7) // 8
-    packed = np.empty((slots, row_bytes), dtype=np.uint8)
-    delivered_any = np.zeros(slots, dtype=bool)
-    delivered_total = 0
-    per_slot = receivers * draws
-    block = max(1, _DELIVERY_BLOCK_FLOATS // max(per_slot, 1))
-    reference = None
-    if bursty:
-        reference = GilbertElliottLoss.from_average(
-            config.loss_probability, config.loss_mean_burst
-        )
-    channel_state: Optional[np.ndarray] = None
+    width = stop - start
+    links = link_keys(key, np.arange(start, stop))
+    bursty = bursty_channel(config.loss_probability, config.loss_mean_burst)
+    bad = np.zeros(width, dtype=bool)
+    delivered = np.empty((slots, width), dtype=bool)
+    block = max(1, _MASK_BLOCK_DECISIONS // max(width, 1))
     for begin in range(0, slots, block):
         end = min(begin + block, slots)
-        uniforms = mirror.random_sample((end - begin) * per_slot).reshape(
-            end - begin, receivers, draws
-        )
-        if reference is not None:
-            drops, channel_state = gilbert_elliott_drop_mask(
-                uniforms,
-                reference.p_good_to_bad,
-                reference.p_bad_to_good,
-                reference.loss_good,
-                reference.loss_bad,
-                initial_bad=channel_state,
-                return_state=True,
-            )
+        broadcasts = np.arange(begin, end)
+        if bursty is None:
+            drops = bernoulli_drop_mask(links, broadcasts, config.loss_probability)
         else:
-            drops = bernoulli_drop_mask(
-                uniforms[:, :, 0], config.loss_probability
-            )
-        delivered = ~drops
-        packed[begin:end] = np.packbits(delivered, axis=1)
-        delivered_any[begin:end] = delivered.any(axis=1)
-        delivered_total += int(delivered.sum())
-    return packed, delivered_any, delivered_total
-
-
-def _shard_delivered(packed: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Unpack receivers ``[start, stop)`` from the bit-packed mask."""
-    first_byte = start // 8
-    bits = np.unpackbits(packed[:, first_byte : (stop + 7) // 8], axis=1)
-    offset = start - 8 * first_byte
-    return bits[:, offset : offset + (stop - start)].astype(bool)
+            drops, bad = gilbert_elliott_drop_mask(links, broadcasts, bursty, bad)
+        np.logical_not(drops, out=delivered[begin:end])
+    return delivered
 
 
 # ---------------------------------------------------------------------------
@@ -1661,34 +1611,19 @@ def _replay_span(
 # Sharded execution.
 
 
-def _run_shard(task: Tuple[Any, ...]) -> Tuple[int, int, _Counts]:
-    """Worker entry point: attach the shared delivery mask, replay one
-    receiver shard, detach. Module-level so process pools can pickle it."""
-    plan, config, start, stop, seeds, shm_name, slots, row_bytes = task
-    if shm_name is None:
-        raise ConfigurationError("shard task carries no shared-memory block")
-    block = _attach_shared(shm_name)
-    try:
-        packed = np.ndarray(
-            (slots, row_bytes), dtype=np.uint8, buffer=block.buf
+def _run_shard(task: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """Worker entry point: draw one receiver shard's slice of the
+    delivery mask and replay it. Module-level so process pools can
+    pickle it. Returns ``(start, stop, counts, delivered_any,
+    delivered_total)``."""
+    plan, config, start, stop, seeds, medium_key = task
+    with _span(SIM_FLEET_MASK):
+        delivered = _delivery_mask(
+            config, medium_key, start, stop, len(plan.times)
         )
-        delivered = _shard_delivered(packed, start, stop)
-    finally:
-        # Attach-side hygiene: close (never unlink — the parent owns
-        # the block's lifetime).
-        block.close()
     counts = _replay_span(plan, config, start, seeds, delivered)
-    return start, stop, counts
-
-
-def _attach_shared(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing shared-memory block without tracker churn."""
-    try:
-        # Python >= 3.13: opt out of the resource tracker on the attach
-        # side; the creating process owns cleanup.
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        return shared_memory.SharedMemory(name=name)
+    total = int(np.count_nonzero(delivered))
+    return start, stop, counts, delivered.any(axis=1), total
 
 
 class _CountAccumulator:
@@ -1752,62 +1687,34 @@ def _replay_shards(
     shards: int,
     executor: Optional[Executor],
     receiver_seeds: Sequence[int],
-    packed: np.ndarray,
+    medium_key: int,
     accumulator: _CountAccumulator,
-) -> None:
+) -> Tuple[np.ndarray, int]:
     """Replay every receiver shard and fold its counts as it arrives:
-    on ``executor`` through a shared-memory copy of ``packed`` when it
-    runs jobs in parallel, inline otherwise."""
-    slots = packed.shape[0]
+    on ``executor`` when it runs jobs in parallel, inline otherwise.
+    Returns the fleet's ``(delivered_any, delivered_total)``."""
     spans = shard_plan(config.receivers, shards)
-    parallel = executor is not None and executor.jobs > 1 and len(spans) > 1
-    if parallel:
-        block = shared_memory.SharedMemory(create=True, size=packed.nbytes)
-        track_resource(
-            "shm", block.name, f"fleet delivery mask ({packed.nbytes} bytes)"
+    tasks = [
+        (plan, config, start, stop, receiver_seeds[start:stop], medium_key)
+        for start, stop in spans
+    ]
+    if executor is not None and executor.jobs > 1 and len(spans) > 1:
+        spec = ExperimentSpec.over(
+            _run_shard,
+            tuple(tasks),
+            label=f"fleet[{config.protocol}]",
+            task_labels=[f"shard[{a}:{b}]" for a, b in spans],
         )
-        try:
-            shared_view = np.ndarray(
-                packed.shape, dtype=np.uint8, buffer=block.buf
-            )
-            shared_view[:] = packed
-            row_bytes = packed.shape[1]
-            tasks = tuple(
-                (
-                    plan,
-                    config,
-                    start,
-                    stop,
-                    receiver_seeds[start:stop],
-                    block.name,
-                    slots,
-                    row_bytes,
-                )
-                for start, stop in spans
-            )
-            spec = ExperimentSpec.over(
-                _run_shard,
-                tasks,
-                label=f"fleet[{config.protocol}]",
-                task_labels=[f"shard[{a}:{b}]" for a, b in spans],
-            )
-            assert executor is not None
-            for _index, result in executor.stream(spec):
-                start, stop, counts = result
-                accumulator.fold(start, stop, counts)
-        finally:
-            # Create-side hygiene: the block must disappear even when a
-            # shard fails mid-stream.
-            block.close()
-            block.unlink()
-            release_resource("shm", block.name)
+        results = (result for _index, result in executor.stream(spec))
     else:
-        for start, stop in spans:
-            delivered = _shard_delivered(packed, start, stop)
-            counts = _replay_span(
-                plan, config, start, receiver_seeds[start:stop], delivered
-            )
-            accumulator.fold(start, stop, counts)
+        results = (_run_shard(task) for task in tasks)
+    delivered_any = np.zeros(len(plan.times), dtype=bool)
+    delivered_total = 0
+    for start, stop, counts, shard_any, shard_total in results:
+        accumulator.fold(start, stop, counts)
+        delivered_any |= shard_any
+        delivered_total += shard_total
+    return delivered_any, delivered_total
 
 
 def run_fleet_scenario(
@@ -1825,11 +1732,10 @@ def run_fleet_scenario(
             the receiver count). With ``shards == 1`` the replay runs
             inline.
         executor: optional :class:`~repro.engine.executors.Executor`
-            to fan shards out on. Parallel executors receive the
-            bit-packed delivery mask via ``multiprocessing``
-            shared memory (one copy for the whole pool); serial (or
-            no) executors replay shard slices in-process. Results are
-            folded as they stream in, whichever order they finish.
+            to fan shards out on; each shard draws its own slice of the
+            delivery mask from the medium key. Serial (or no)
+            executors replay the shards in-process. Results are folded
+            as they stream in, whichever order they finish.
         summary: ``"nodes"`` for an exact per-receiver
             :class:`~repro.sim.metrics.FleetSummary` (byte-identical to
             the DES), ``"aggregate"`` for a fixed-size
@@ -1856,12 +1762,9 @@ def run_fleet_scenario(
     shards = min(shards, config.receivers)
 
     # Master draw order mirrors run_scenario + the family builders.
-    # medium_rng stays unwrapped: _packed_delivery_mask consumes its
-    # getstate() to seed the numpy mirror, which a tracing wrapper
-    # would intercept without seeing the numpy-side draws.
     with _span(SIM_FLEET_PLAN):
         rng = traced_rng(random.Random(config.seed), "master")
-        medium_rng = random.Random(rng.getrandbits(64))
+        medium_key = rng.getrandbits(64)
         schedule = IntervalSchedule(0.0, config.interval_duration)
         sync = LooseTimeSync(config.max_offset)
         workload = workload_for(config)
@@ -1875,17 +1778,12 @@ def run_fleet_scenario(
         )
         plan = _build_plan(config, schedule, sync, workload, attacker_rng)
     slots = len(plan.times)
-    with _span(SIM_FLEET_MASK):
-        packed, delivered_any, delivered_total = _packed_delivery_mask(
-            config, slots, medium_rng
-        )
-
     accumulator = _CountAccumulator(
         config.receivers, plan.sent_authentic, summary
     )
     with _span(SIM_FLEET_REPLAY):
-        _replay_shards(
-            plan, config, shards, executor, receiver_seeds, packed, accumulator
+        delivered_any, delivered_total = _replay_shards(
+            plan, config, shards, executor, receiver_seeds, medium_key, accumulator
         )
     with _span(SIM_FLEET_REDUCE):
         fleet = accumulator.result(config.receivers)
@@ -1915,72 +1813,4 @@ def run_fleet_scenario(
         forged_bandwidth_fraction=forged_fraction,
         simulated_seconds=simulated,
         nodes=(),
-    )
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """DES-vs-vectorized cross-check over a seed set.
-
-    Attributes:
-        config: the scenario compared (seed field varies per run).
-        seeds: the seeds compared.
-        identical: how many seeds produced byte-identical fleet
-            summaries (the exact-mirroring contract makes this equal
-            ``len(seeds)`` for every supported family).
-        auth_rate_diff: paired authentication-rate differences
-            (vectorized minus DES), with confidence bounds.
-        attack_rate_diff: paired attack-success-rate differences.
-        passes: whether both confidence intervals contain zero (within
-            ``tolerance``).
-    """
-
-    config: ScenarioConfig
-    seeds: Tuple[int, ...]
-    identical: int
-    auth_rate_diff: MeanEstimate
-    attack_rate_diff: MeanEstimate
-    passes: bool
-
-
-def statistical_equivalence(
-    config: ScenarioConfig,
-    seeds: Sequence[int],
-    confidence: float = 0.95,
-    tolerance: float = 1e-9,
-) -> EquivalenceReport:
-    """Run both engines over ``seeds`` and bound their rate differences.
-
-    The exact-mirroring contract makes the differences identically zero
-    for every supported family; the harness proves it per preset (and
-    remains the right tool for future fast paths where per-draw
-    mirroring is impractical and only distributional equality holds).
-    """
-    from repro.sim.scenario import run_scenario
-
-    if not seeds:
-        raise ConfigurationError("seeds must be non-empty")
-    auth_diffs: List[float] = []
-    attack_diffs: List[float] = []
-    identical = 0
-    for seed in seeds:
-        des = run_scenario(replace(config, seed=seed, engine="des"))
-        fast = run_fleet_scenario(replace(config, seed=seed, engine="vectorized"))
-        auth_diffs.append(fast.authentication_rate - des.authentication_rate)
-        attack_diffs.append(fast.attack_success_rate - des.attack_success_rate)
-        if fast.fleet == des.fleet:
-            identical += 1
-    auth = mean_estimate(auth_diffs, confidence)
-    attack = mean_estimate(attack_diffs, confidence)
-    passes = (
-        auth.low - tolerance <= 0.0 <= auth.high + tolerance
-        and attack.low - tolerance <= 0.0 <= attack.high + tolerance
-    )
-    return EquivalenceReport(
-        config=config,
-        seeds=tuple(seeds),
-        identical=identical,
-        auth_rate_diff=auth,
-        attack_rate_diff=attack,
-        passes=passes,
     )

@@ -6,11 +6,15 @@ independently dropping each delivery with the link's loss probability
 (the paper's "low QoS channels") and delaying it by the link latency.
 It also keeps bit-level accounting per provenance so experiments can
 measure actual forged-bandwidth fractions rather than assuming them.
+
+Loss decisions are keyed (:mod:`repro.sim.channel`): the ``b``-th
+broadcast reaches the ``r``-th attachment unless
+:func:`~repro.sim.channel.link_drops` of ``(medium key, r, b)`` says
+otherwise, so they do not depend on the order of any shared stream.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -18,7 +22,7 @@ from repro import perf
 from repro.errors import ConfigurationError
 from repro.perf.names import SIM_BROADCASTS, SIM_DELIVERIES, SIM_DROPS
 from repro.protocols.packets import LEGITIMATE
-from repro.sim.channel import BernoulliLoss, LossProcess
+from repro.sim.channel import GilbertElliottLoss, link_drops, link_key
 from repro.sim.events import Simulator
 
 __all__ = ["LinkQuality", "BroadcastMedium"]
@@ -33,17 +37,15 @@ class LinkQuality:
 
     Attributes:
         loss_probability: independent drop probability per delivery
-            (ignored when ``loss_process`` is given).
+            (ignored when ``bursty`` is given).
         delay: propagation + processing latency in seconds.
-        loss_process: optional stateful loss model (e.g. a
-            :class:`~repro.sim.channel.GilbertElliottLoss` burst
-            channel). Loss processes carry channel state, so give each
-            attachment its own instance.
+        bursty: optional Gilbert–Elliott burst channel parameters; the
+            medium keeps each attachment's fade state.
     """
 
     loss_probability: float = 0.0
     delay: float = 1e-3
-    loss_process: Optional[LossProcess] = None
+    bursty: Optional[GilbertElliottLoss] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_probability <= 1.0:
@@ -53,21 +55,18 @@ class LinkQuality:
         if self.delay < 0:
             raise ConfigurationError(f"delay must be >= 0, got {self.delay}")
 
-    def make_loss_process(self) -> LossProcess:
-        """The effective loss model for one attachment."""
-        if self.loss_process is not None:
-            return self.loss_process
-        return BernoulliLoss(self.loss_probability)
-
 
 class _Attachment:
-    __slots__ = ("name", "deliver", "link", "loss")
+    __slots__ = ("name", "deliver", "link", "key", "bad")
 
-    def __init__(self, name: str, deliver: DeliveryFn, link: LinkQuality) -> None:
+    def __init__(
+        self, name: str, deliver: DeliveryFn, link: LinkQuality, key: int
+    ) -> None:
         self.name = name
         self.deliver = deliver
         self.link = link
-        self.loss = link.make_loss_process()
+        self.key = key
+        self.bad = False
 
 
 class BroadcastMedium:
@@ -75,7 +74,7 @@ class BroadcastMedium:
 
     Args:
         simulator: the event loop delivering packets.
-        rng: RNG driving the loss process (seed for reproducibility).
+        key: 64-bit channel key every loss decision is keyed by.
         default_link: link quality used when an attachment does not
             specify its own.
     """
@@ -83,13 +82,13 @@ class BroadcastMedium:
     def __init__(
         self,
         simulator: Simulator,
-        rng: Optional[random.Random] = None,
+        key: int,
         default_link: LinkQuality = LinkQuality(),
     ) -> None:
         self._simulator = simulator
-        # reprolint: disable=RPL002 -- ad-hoc/interactive fallback; every scenario path passes a master-seeded rng
-        self._rng = rng or random.Random()
+        self._key = key
         self._default_link = default_link
+        self._broadcasts = 0
         self._attachments: List[_Attachment] = []
         self._taps: List[Callable[[object, float], None]] = []
         self._bits_sent: Dict[str, int] = {}
@@ -108,11 +107,16 @@ class BroadcastMedium:
     def attach(
         self, name: str, deliver: DeliveryFn, link: Optional[LinkQuality] = None
     ) -> None:
-        """Attach a receiver callback under a unique node name."""
+        """Attach a receiver callback under a unique node name.
+
+        The ``r``-th attachment (0-based) is receiver ``r`` of the keyed
+        channel.
+        """
         if any(attachment.name == name for attachment in self._attachments):
             raise ConfigurationError(f"node name {name!r} already attached")
+        key = link_key(self._key, len(self._attachments))
         self._attachments.append(
-            _Attachment(name, deliver, link or self._default_link)
+            _Attachment(name, deliver, link or self._default_link, key)
         )
 
     @property
@@ -154,7 +158,9 @@ class BroadcastMedium:
             packet: any protocol packet (must expose ``wire_bits`` and
                 ``provenance`` for accounting; unknown objects are
                 accounted as zero-size).
-            exclude: node name that should not hear its own transmission.
+            exclude: node name that should not hear its own transmission
+                (no loss decision is taken for it, so its fade state
+                does not advance).
 
         Returns:
             number of deliveries scheduled (post-loss).
@@ -167,10 +173,20 @@ class BroadcastMedium:
             tap(packet, self._simulator.now)
         scheduled = 0
         drops_before = self._drops
+        index = self._broadcasts
+        self._broadcasts += 1
         for attachment in self._attachments:
             if exclude is not None and attachment.name == exclude:
                 continue
-            if attachment.loss.should_drop(self._rng):
+            link = attachment.link
+            dropped, attachment.bad = link_drops(
+                attachment.key,
+                index,
+                link.loss_probability,
+                link.bursty,
+                attachment.bad,
+            )
+            if dropped:
                 self._drops += 1
                 continue
             arrival = self._simulator.now + attachment.link.delay

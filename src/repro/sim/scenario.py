@@ -49,7 +49,7 @@ from repro.sim.attacker import (
     data_forgery_factory,
     tesla_forgery_factory,
 )
-from repro.sim.channel import GilbertElliottLoss
+from repro.sim.channel import bursty_channel
 from repro.sim.events import Simulator
 from repro.sim.medium import BroadcastMedium, LinkQuality
 from repro.sim.metrics import FleetSummary, summarise_nodes
@@ -178,24 +178,9 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"disclosure_delay must be >= 1, got {self.disclosure_delay}"
             )
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ConfigurationError(
-                "loss_probability must be in [0, 1], got"
-                f" {self.loss_probability}"
-            )
-        if self.loss_mean_burst is not None and self.loss_probability > 0.0:
-            # The bursty channel's own checks (average loss < 1, mean
-            # burst >= 1), run here so a bad config fails when it is
-            # built rather than when run_scenario builds the links.
-            try:
-                GilbertElliottLoss.from_average(
-                    self.loss_probability, self.loss_mean_burst
-                )
-            except ConfigurationError as exc:
-                raise ConfigurationError(
-                    f"bursty loss (loss_probability={self.loss_probability},"
-                    f" loss_mean_burst={self.loss_mean_burst}): {exc}"
-                ) from exc
+        # Raises for a bad loss setting, so a bad config fails when it
+        # is built rather than when a run builds the links.
+        bursty_channel(self.loss_probability, self.loss_mean_burst)
 
 
 @dataclass(frozen=True)
@@ -233,14 +218,13 @@ class ScenarioResult:
 
 def _link_for(config: ScenarioConfig) -> LinkQuality:
     """Per-node link: memoryless by default, Gilbert-Elliott when the
-    scenario asks for bursty loss (fresh process per node — fades are
-    per-link state)."""
-    if config.loss_mean_burst is not None and config.loss_probability > 0.0:
-        process = GilbertElliottLoss.from_average(
-            config.loss_probability, config.loss_mean_burst
-        )
-        return LinkQuality(delay=config.link_delay, loss_process=process)
-    return LinkQuality(config.loss_probability, config.link_delay)
+    scenario asks for bursty loss (the medium keeps each node's fade
+    state)."""
+    return LinkQuality(
+        config.loss_probability,
+        config.link_delay,
+        bursty_channel(config.loss_probability, config.loss_mean_burst),
+    )
 
 
 def _seed_bytes(config: ScenarioConfig, label: str) -> bytes:
@@ -448,9 +432,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         # change (same summaries a plain engine="des" run produces).
     rng = traced_rng(random.Random(config.seed), "master")
     simulator = Simulator()
-    medium = BroadcastMedium(
-        simulator, rng=traced_rng(random.Random(rng.getrandbits(64)), "medium")
-    )
+    medium = BroadcastMedium(simulator, key=rng.getrandbits(64))
     schedule = IntervalSchedule(0.0, config.interval_duration)
     sync = LooseTimeSync(config.max_offset)
     workload = workload_for(config)

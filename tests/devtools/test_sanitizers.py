@@ -1,9 +1,8 @@
 """Runtime sanitizer suite.
 
-Covers the two sanitizers end to end — determinism draw tracing with
-call-site attribution and resource lifetimes — plus the contract both
-share with ``repro.perf``: disabled means *structurally* absent
-(identity rng, no-op lifecycle hooks), not merely cheap.
+Covers determinism draw tracing with call-site attribution end to end,
+plus the contract it shares with ``repro.perf``: disabled means
+*structurally* absent (identity rng), not merely cheap.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 
-from repro.devtools.sanitizers import determinism, resources
+from repro.devtools.sanitizers import determinism
 
 
 def _draw_chain(rng, n=8):
@@ -94,7 +93,7 @@ class TestDeterminism:
         assert first.trace.total_draws() > 0
         assert first.trace.diff(second.trace) == ()
 
-        corrupt = determinism.DeterminismSanitizer(corrupt_draw=4)
+        corrupt = determinism.DeterminismSanitizer(corrupt_draw=2)
         with determinism.tracing(corrupt):
             run_scenario(config)
         divergences = first.trace.diff(corrupt.trace)
@@ -113,26 +112,8 @@ class TestDeterminism:
         assert ":" in first["site"]
 
 
-class TestResources:
-    def test_disabled_hooks_are_noops(self):
-        resources.track_resource("shm", "t", "label")
-        resources.release_resource("shm", "t")
-        assert not resources.enabled()
-
-    def test_leak_reported_with_creation_site(self):
-        with resources.tracking() as sanitizer:
-            resources.track_resource("socket", "a", "listener :9000")
-            resources.track_resource("shm", "b", "mask segment")
-            resources.release_resource("socket", "a")
-        leaks = sanitizer.leaks()
-        assert [leak.kind for leak in leaks] == ["shm"]
-        assert leaks[0].label == "mask segment"
-        assert "test_sanitizers.py" in leaks[0].site
-        assert sanitizer.tracked == 2 and sanitizer.released == 1
-
-
 class TestDisabledOverhead:
-    """Disabled sanitizers must cost nothing measurable.
+    """A disabled sanitizer must cost nothing measurable.
 
     The structural asserts are the real contract (the disabled path
     returns the *same* objects plain code uses); the timing bound is a
@@ -143,19 +124,6 @@ class TestDisabledOverhead:
     def test_disabled_path_is_structurally_absent(self):
         rng = random.Random(1)
         assert determinism.traced_rng(rng, "s") is rng
-
-    def test_disabled_lifecycle_hooks_are_cheap(self):
-        n = 50_000
-        started = time.perf_counter()
-        for _ in range(n):
-            resources.track_resource("shm", "t", "x")
-            resources.release_resource("shm", "t")
-        per_call = (time.perf_counter() - started) / (2 * n)
-        # One module-attribute load and an is-None branch; 5 µs is two
-        # orders of magnitude above the expected cost, so a real
-        # regression (locking, dict churn) trips it while CI noise
-        # cannot.
-        assert per_call < 5e-6, f"disabled hook costs {per_call * 1e9:.0f}ns"
 
     def test_disabled_traced_rng_adds_no_draw_overhead(self):
         bare = random.Random(5)

@@ -35,7 +35,7 @@ def run_coevolution(m_game: int, seed: int = 5):
     """Both sides play the m = ``m_game`` game for INTERVALS epochs."""
     params = paper_parameters(p=0.8, m=m_game)
     simulator = Simulator()
-    medium = BroadcastMedium(simulator, rng=random.Random(seed))
+    medium = BroadcastMedium(simulator, key=seed)
     schedule = IntervalSchedule(0.0, 1.0)
     condition = SecurityCondition(schedule, LooseTimeSync(0.01), 1)
     sender = DapSender(SEED, INTERVALS + 1, announce_copies=5)

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.proxy import FaultInjectionProxy, ProxyConfig
 from repro.net.transport import LoopbackNetwork
-from repro.sim.channel import BernoulliLoss, GilbertElliottLoss
+from repro.sim.channel import GilbertElliottLoss, link_drops, link_key
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ def wire_proxy(network, config, downstream=("r0", "r1"), seed=1):
         network.endpoint("proxy"),
         list(downstream),
         config,
-        rng=random.Random(seed),
+        key=seed,
     )
     source = network.endpoint("src")
     return proxy, source, inboxes
@@ -56,15 +56,17 @@ class TestProxyConfig:
             ProxyConfig(reorder_delay=-0.1)
 
     def test_loss_process_selection(self):
-        assert isinstance(
-            ProxyConfig(loss_probability=0.2).make_loss_process(), BernoulliLoss
-        )
-        assert isinstance(
-            ProxyConfig(
-                loss_probability=0.2, loss_mean_burst=4.0
-            ).make_loss_process(),
-            GilbertElliottLoss,
-        )
+        assert ProxyConfig(loss_probability=0.2).bursty is None
+        assert ProxyConfig(
+            loss_probability=0.2, loss_mean_burst=4.0
+        ).bursty == GilbertElliottLoss.from_average(0.2, 4.0)
+
+    @pytest.mark.parametrize("probability, burst", [(1.0, 4.0), (0.3, 0.5)])
+    def test_rejects_unreachable_bursty_loss_at_construction(
+        self, probability, burst
+    ):
+        with pytest.raises(ConfigurationError, match="bursty loss"):
+            ProxyConfig(loss_probability=probability, loss_mean_burst=burst)
 
     def test_reorder_delay_defaults_to_twice_base(self):
         assert ProxyConfig(delay=0.01).effective_reorder_delay == pytest.approx(0.02)
@@ -85,7 +87,7 @@ class TestForwarding:
 
     def test_needs_downstream(self, network):
         with pytest.raises(ConfigurationError):
-            FaultInjectionProxy(network.endpoint("proxy"), [])
+            FaultInjectionProxy(network.endpoint("proxy"), [], key=1)
 
     def test_total_loss_drops_everything(self, network):
         proxy, source, inboxes = wire_proxy(
@@ -109,25 +111,21 @@ class TestForwarding:
         assert proxy.duplicated == 2
 
     def test_reordering_lets_later_datagrams_overtake(self, network):
-        # Draw order per datagram: loss, then reorder. Script the RNG so
-        # the first datagram is held back and the second is not.
+        # With loss off, the fault stream (seeded by the key) draws only
+        # the reorder decisions: pick a key whose stream holds the first
+        # datagram back and not the second.
+        key = next(
+            k
+            for k in range(100)
+            if [v < 0.5 for v in _first_draws(k, 2)] == [True, False]
+        )
         inbox = []
         network.endpoint("r0").set_handler(lambda data, at: inbox.append(data))
-
-        class Scripted(random.Random):
-            def __init__(self, values):
-                super().__init__(0)
-                self.values = list(values)
-
-            def random(self):
-                return self.values.pop(0)
-
         proxy = FaultInjectionProxy(
             network.endpoint("proxy"),
             ["r0"],
             ProxyConfig(delay=0.01, reorder_delay=0.05, reorder_probability=0.5),
-            # loss(first), reorder(first)=hold, loss(second), reorder(second)
-            rng=Scripted([0.9, 0.0, 0.9, 0.9]),
+            key=key,
         )
         source = network.endpoint("src")
         source.send(b"first", "proxy")
@@ -136,30 +134,41 @@ class TestForwarding:
         assert inbox == [b"second", b"first"]
         assert proxy.reordered == 1
 
-    def test_zero_knobs_draw_once_per_link_per_datagram(self, network):
-        # Parity with BroadcastMedium: a plain-delay proxy consumes
-        # exactly one RNG decision per link per datagram.
-        class CountingRandom(random.Random):
-            def __init__(self):
-                super().__init__(0)
-                self.calls = 0
+    def test_zero_knobs_draw_once_per_link_per_datagram(self):
+        # Parity with BroadcastMedium: a plain-delay proxy decides the
+        # d-th datagram to link r exactly as the keyed channel decides
+        # broadcast d to receiver r, across lookahead blocks.
+        for burst in (None, 3.0):
+            _assert_keyed_decisions(
+                LoopbackNetwork(),
+                ProxyConfig(loss_probability=0.3, loss_mean_burst=burst, delay=0.01),
+            )
 
-            def random(self):
-                self.calls += 1
-                return super().random()
 
-        rng = CountingRandom()
-        inboxes = {}
-        for name in ("r0", "r1", "r2"):
-            network.endpoint(name).set_handler(lambda data, at: None)
-        proxy = FaultInjectionProxy(
-            network.endpoint("proxy"),
-            ["r0", "r1", "r2"],
-            ProxyConfig(loss_probability=0.3, delay=0.01),
-            rng=rng,
+def _assert_keyed_decisions(network, config):
+    heard = {name: [] for name in ("r0", "r1", "r2")}
+    for name, inbox in heard.items():
+        network.endpoint(name).set_handler(
+            lambda data, at, inbox=inbox: inbox.append(data)
         )
-        source = network.endpoint("src")
-        for _ in range(7):
-            source.send(b"x", "proxy")
-        network.run()
-        assert rng.calls == 7 * 3
+    proxy = FaultInjectionProxy(network.endpoint("proxy"), list(heard), config, key=5)
+    source = network.endpoint("src")
+    datagrams = 150
+    for d in range(datagrams):
+        source.send(d.to_bytes(2, "big"), "proxy", delay=d * 1e-3)
+    network.run()
+    for r, inbox in enumerate(heard.values()):
+        link, bad, expected = link_key(5, r), False, []
+        for d in range(datagrams):
+            dropped, bad = link_drops(
+                link, d, config.loss_probability, config.bursty, bad
+            )
+            if not dropped:
+                expected.append(d.to_bytes(2, "big"))
+        assert inbox == expected
+    assert proxy.dropped == 3 * datagrams - proxy.forwarded
+
+
+def _first_draws(key, n):
+    rng = random.Random(key)
+    return [rng.random() for _ in range(n)]

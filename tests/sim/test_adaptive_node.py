@@ -24,7 +24,7 @@ SEED = b"adaptive-node-seed"
 def build_world(attack_p: float, intervals: int, initial_m: int = 2,
                 initial_estimate: float = 0.5, every: int = 2, seed: int = 1):
     simulator = Simulator()
-    medium = BroadcastMedium(simulator, rng=random.Random(seed))
+    medium = BroadcastMedium(simulator, key=seed)
     schedule = IntervalSchedule(0.0, 1.0)
     condition = SecurityCondition(schedule, LooseTimeSync(0.01), 1)
     sender = DapSender(SEED, intervals + 1, announce_copies=5)

@@ -90,7 +90,7 @@ class TestForgeryFactories:
 class TestFloodingAttacker:
     def test_injects_expected_volume(self):
         sim = Simulator()
-        medium = BroadcastMedium(sim, rng=random.Random(0))
+        medium = BroadcastMedium(sim, key=0)
         received = []
         medium.attach("r", lambda p, t: received.append(p))
         attacker = FloodingAttacker(
@@ -111,7 +111,7 @@ class TestFloodingAttacker:
 
     def test_burst_confined_to_window(self):
         sim = Simulator()
-        medium = BroadcastMedium(sim, rng=random.Random(0))
+        medium = BroadcastMedium(sim, key=0)
         times = []
         medium.attach("r", lambda p, t: times.append(sim.now))
         attacker = FloodingAttacker(
@@ -132,7 +132,7 @@ class TestFloodingAttacker:
 
     def test_validation(self):
         sim = Simulator()
-        medium = BroadcastMedium(sim)
+        medium = BroadcastMedium(sim, key=0)
         with pytest.raises(ConfigurationError):
             FloodingAttacker(
                 sim, medium, IntervalSchedule(0.0, 1.0),
@@ -149,7 +149,7 @@ class TestFloodingAttacker:
 class TestGameAwareAttacker:
     def _run(self, params, defender_share, intervals=120):
         sim = Simulator()
-        medium = BroadcastMedium(sim, rng=random.Random(0))
+        medium = BroadcastMedium(sim, key=0)
         medium.attach("r", lambda p, t: None)
         attacker = GameAwareAttacker(
             sim,
@@ -188,7 +188,7 @@ class TestGameAwareAttacker:
 
     def test_validation(self):
         sim = Simulator()
-        medium = BroadcastMedium(sim)
+        medium = BroadcastMedium(sim, key=0)
         with pytest.raises(ConfigurationError):
             GameAwareAttacker(
                 sim, medium, IntervalSchedule(0.0, 1.0),

@@ -1,6 +1,5 @@
 """Vectorized fleet engine: exact parity with the DES across every
-protocol family, sharding/streaming reduction, and the
-statistical-equivalence harness."""
+protocol family, and the sharding/streaming reduction."""
 
 from __future__ import annotations
 
@@ -8,12 +7,10 @@ import dataclasses
 import random
 import sys
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-from repro.devtools.sanitizers.resources import ResourceSanitizer, tracking
 from repro.engine import stable_key
 from repro.engine.executors import Executor, ParallelExecutor
 from repro.errors import ConfigurationError, SimulationError
@@ -25,13 +22,7 @@ from repro.sim import fleet
 from repro import perf
 from repro.perf import names
 from repro.crypto.kernels import fast_umac
-from repro.sim.fleet import (
-    EquivalenceReport,
-    run_fleet_scenario,
-    shard_plan,
-    statistical_equivalence,
-    supports,
-)
+from repro.sim.fleet import run_fleet_scenario, shard_plan, supports
 from repro.sim.metrics import FleetAggregate
 from repro.sim.scenario import ScenarioConfig, run_scenario
 from repro.sim.workloads import workload_for
@@ -43,20 +34,12 @@ CATALOG_SEEDS = (7, 11)
 
 
 class _FailingShardExecutor(Executor):
-    """A two-job executor whose shards die after reading their block."""
+    """A two-job executor whose shards die once the first one is in."""
 
     jobs = 2
 
-    def __init__(self) -> None:
-        self.block_name = None
-
     def stream(self, spec):
-        _plan, _config, _start, _stop, _seeds, name, _slots, _rows = (
-            spec.tasks[0]
-        )
-        self.block_name = name
-        # The block is live while shards run.
-        shared_memory.SharedMemory(name=name).close()
+        yield 0, fleet._run_shard(spec.tasks[0])
         raise RuntimeError("shard worker died")
 
 
@@ -291,7 +274,7 @@ class TestSharding:
         assert isinstance(aggregate.fleet, FleetAggregate)
         assert aggregate.fleet == FleetAggregate.from_summary(nodes.fleet)
 
-    def test_parallel_executor_with_shared_memory_matches_serial(self):
+    def test_parallel_executor_matches_serial(self):
         config = ScenarioConfig(
             protocol="multilevel",
             intervals=12,
@@ -311,9 +294,9 @@ class TestSharding:
         assert parallel.fleet == serial.fleet
         assert aggregate.fleet == FleetAggregate.from_summary(serial.fleet)
 
-    def test_failing_shard_still_releases_the_shared_block(self):
-        """The delivery-mask block is closed and unlinked even when a
-        shard fails mid-stream, and the failure reaches the caller."""
+    def test_failing_shard_reaches_the_caller(self):
+        """A shard that dies mid-stream fails the run, not a silent
+        partial summary."""
         config = ScenarioConfig(
             protocol="dap",
             intervals=6,
@@ -323,15 +306,8 @@ class TestSharding:
             seed=7,
             engine="vectorized",
         )
-        executor = _FailingShardExecutor()
-        with tracking(ResourceSanitizer()) as sanitizer:
-            with pytest.raises(RuntimeError, match="shard worker died"):
-                run_fleet_scenario(config, shards=2, executor=executor)
-        assert executor.block_name is not None
-        assert sanitizer.tracked == 1
-        assert sanitizer.leaks() == ()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=executor.block_name)
+        with pytest.raises(RuntimeError, match="shard worker died"):
+            run_fleet_scenario(config, shards=2, executor=_FailingShardExecutor())
 
 
 class TestBatchedReplay:
@@ -413,13 +389,12 @@ class TestBatchedReplay:
     def test_fast_umac_keeps_engines_byte_identical(self):
         """Both engines route μMACs through MicroMacScheme, so the
         non-faithful FAST_UMAC bytes change *both* identically: the
-        DES/fleet equivalence harness must still report exact
-        mirroring with the switch on."""
-        config = self._config()
+        summaries stay byte-identical with the switch on."""
         with fast_umac(True):
-            report = statistical_equivalence(config, seeds=range(1, 4))
-        assert report.passes
-        assert report.identical == len(report.seeds)
+            for seed in range(1, 4):
+                config = self._config(seed=seed)
+                des = run_scenario(dataclasses.replace(config, engine="des"))
+                assert run_fleet_scenario(config).fleet == des.fleet, seed
 
     def test_fast_umac_is_statistically_equivalent_to_faithful(self):
         """Fast-on vs fast-off runs may differ on individual 2^-24
@@ -608,8 +583,9 @@ class TestMultiLevelLockstep:
 
 class TestLayerTimers:
     def test_layer_spans_add_up_to_the_run(self):
-        """With a registry active, the plan build, delivery mask, shard
-        replay and reduction spans partition the run's wall time."""
+        """With a registry active, the plan build, shard replay and
+        reduction spans partition the run's wall time; the inline
+        shards' delivery masks are timed inside the replay."""
         config = ScenarioConfig(
             protocol="edrp",
             intervals=20,
@@ -622,17 +598,17 @@ class TestLayerTimers:
         )
         spans = (
             names.SIM_FLEET_PLAN,
-            names.SIM_FLEET_MASK,
             names.SIM_FLEET_REPLAY,
             names.SIM_FLEET_REDUCE,
         )
         with perf.collecting() as registry:
             started = time.perf_counter()
-            run_fleet_scenario(config)
+            run_fleet_scenario(config, shards=2)
             wall = time.perf_counter() - started
-        assert set(spans) <= set(registry.timers)
-        assert all(registry.timers[span] > 0.0 for span in spans)
-        assert abs(sum(registry.timers[span] for span in spans) - wall) <= 0.1 * wall
+        timers = registry.timers
+        assert all(timers[span] > 0.0 for span in (*spans, names.SIM_FLEET_MASK))
+        assert abs(sum(timers[span] for span in spans) - wall) <= 0.1 * wall
+        assert timers[names.SIM_FLEET_MASK] < timers[names.SIM_FLEET_REPLAY]
 
 
 class TestCacheKeys:
@@ -640,30 +616,3 @@ class TestCacheKeys:
         base = ScenarioConfig(protocol="dap", intervals=10, receivers=2)
         vectorized = dataclasses.replace(base, engine="vectorized")
         assert stable_key(base) != stable_key(vectorized)
-
-
-class TestStatisticalEquivalence:
-    def test_passes_for_supported_presets(self):
-        for protocol in fleet.SUPPORTED_PROTOCOLS:
-            report = statistical_equivalence(
-                ScenarioConfig(
-                    protocol=protocol,
-                    intervals=12,
-                    receivers=3,
-                    buffers=3,
-                    attack_fraction=0.5,
-                    loss_probability=0.1,
-                ),
-                seeds=range(1, 6),
-            )
-            assert isinstance(report, EquivalenceReport)
-            assert report.passes, protocol
-            # Exact mirroring: every seed is byte-identical, not just
-            # statistically indistinguishable.
-            assert report.identical == len(report.seeds)
-            assert report.auth_rate_diff.mean == 0.0
-            assert report.attack_rate_diff.mean == 0.0
-
-    def test_rejects_empty_seed_set(self):
-        with pytest.raises(ConfigurationError):
-            statistical_equivalence(ScenarioConfig(), seeds=[])

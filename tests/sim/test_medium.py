@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -19,7 +17,7 @@ def sim():
 
 @pytest.fixture
 def medium(sim):
-    return BroadcastMedium(sim, rng=random.Random(1))
+    return BroadcastMedium(sim, key=1)
 
 
 PACKET = MacAnnouncePacket(1, b"m" * 10)
@@ -52,7 +50,7 @@ class TestDelivery:
         assert times == [0.5]
 
     def test_lossy_link_drops(self, sim):
-        medium = BroadcastMedium(sim, rng=random.Random(7))
+        medium = BroadcastMedium(sim, key=7)
         got = []
         medium.attach("a", lambda p, t: got.append(p), LinkQuality(1.0, 0.0))
         assert medium.broadcast(PACKET) == 0
@@ -61,7 +59,7 @@ class TestDelivery:
         assert medium.drops == 1
 
     def test_partial_loss_statistics(self, sim):
-        medium = BroadcastMedium(sim, rng=random.Random(3))
+        medium = BroadcastMedium(sim, key=3)
         count = [0]
         medium.attach("a", lambda p, t: count.__setitem__(0, count[0] + 1),
                       LinkQuality(0.3, 0.0))
@@ -111,7 +109,7 @@ class TestAccounting:
 
 class TestTaps:
     def test_tap_sees_every_transmission_pre_loss(self, sim):
-        medium = BroadcastMedium(sim, rng=random.Random(7))
+        medium = BroadcastMedium(sim, key=7)
         medium.attach("lossy", lambda p, t: None, LinkQuality(1.0, 0.0))
         seen = []
         medium.add_tap(lambda packet, time: seen.append((packet, time)))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -20,7 +18,7 @@ SEED = b"nodes-seed"
 @pytest.fixture
 def world():
     sim = Simulator()
-    medium = BroadcastMedium(sim, rng=random.Random(0))
+    medium = BroadcastMedium(sim, key=0)
     schedule = IntervalSchedule(0.0, 1.0)
     condition = SecurityCondition(schedule, LooseTimeSync(0.01), 1)
     sender = DapSender(SEED, chain_length=12)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.errors import ProtocolError, SimulationError
@@ -22,7 +20,7 @@ SEED = b"trace-seed"
 
 def capture_run(intervals=10):
     simulator = Simulator()
-    medium = BroadcastMedium(simulator, rng=random.Random(0))
+    medium = BroadcastMedium(simulator, key=0)
     recorder = TraceRecorder(medium)
     schedule = IntervalSchedule(0.0, 1.0)
     sender = DapSender(SEED, intervals + 1, announce_copies=2)
@@ -90,7 +88,7 @@ class TestTraceRecorder:
 
     def test_unencodable_objects_skipped(self):
         simulator = Simulator()
-        medium = BroadcastMedium(simulator)
+        medium = BroadcastMedium(simulator, key=0)
         recorder = TraceRecorder(medium)
         medium.broadcast(object())
         medium.broadcast(MacAnnouncePacket(1, b"m" * 10))
